@@ -6,9 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from modhate import _kernels
 from modhate.classifiers.base import Hyperparams, TrainedModel, check_training_matrix
 from modhate.errors import EvenKError, KTooLargeError
+
+
+def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, shape (n_queries, n_points)."""
+    nq = queries.shape[0]
+    out = np.empty((nq, points.shape[0]), dtype=np.float64)
+    for i in range(nq):
+        d = points - queries[i]
+        out[i] = np.einsum("ij,ij->i", d, d)
+    return out
 
 
 @dataclass(frozen=True)
@@ -18,13 +27,10 @@ class KnnParams:
     k: int
 
     def decide(self, Z: np.ndarray) -> np.ndarray:
-        dists = _kernels.pairwise_sq_dists(Z, self.train_x)
-        labels = np.empty(Z.shape[0], dtype=np.int64)
-        for i in range(Z.shape[0]):
-            # stable sort: distance ties go to the lower training index
-            nearest = np.argsort(dists[i], kind="stable")[: self.k]
-            labels[i] = 1 if int(self.train_y[nearest].sum()) * 2 > self.k else 0
-        return labels
+        dists = pairwise_sq_dists(Z, self.train_x)
+        # stable sort: distance ties go to the lower training index
+        nearest = np.argsort(dists, axis=1, kind="stable")[:, : self.k]
+        return (self.train_y[nearest].sum(axis=1) * 2 > self.k).astype(np.int64)
 
 
 def train_knn(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> TrainedModel:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from modhate import _kernels
 from modhate.classifiers.base import Hyperparams, TrainedModel, check_training_matrix
 
 
@@ -34,6 +33,52 @@ def gini(counts) -> float:
     return 1.0 - p0 * p0 - p1 * p1
 
 
+def gini_best_split(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Best threshold for one feature column under weighted Gini impurity.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values. Returns (impurity, threshold, ok); the lowest threshold wins
+    impurity ties, and ok is False when the column has no distinct pair.
+    """
+    n = x.shape[0]
+    if n < 2:
+        return np.inf, 0.0, False
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    ws = w[order]
+    ys = y[order]
+    w0 = np.where(ys == 0, ws, 0.0)
+    w1 = np.where(ys == 1, ws, 0.0)
+    c0 = np.cumsum(w0)
+    c1 = np.cumsum(w1)
+    tot0 = c0[n - 1]
+    tot1 = c1[n - 1]
+    total = tot0 + tot1
+
+    # split i puts items [0, i) left; left sums are the cumsums at i-1
+    l0 = c0[:-1]
+    l1 = c1[:-1]
+    wl = l0 + l1
+    r0 = tot0 - l0
+    r1 = tot1 - l1
+    wr = r0 + r1
+    valid = (xs[1:] > xs[:-1]) & (wl > 0.0) & (wr > 0.0)
+    if not valid.any():
+        return np.inf, 0.0, False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = l0 / wl
+        b = l1 / wl
+        gl = 1.0 - a * a - b * b
+        a = r0 / wr
+        b = r1 / wr
+        gr = 1.0 - a * a - b * b
+        imp = (wl * gl + wr * gr) / total
+    imp = np.where(valid, imp, np.inf)
+    best = int(np.argmin(imp))
+    thr = (xs[best] + xs[best + 1]) * 0.5
+    return float(imp[best]), float(thr), True
+
+
 def find_best_split(X, y, w, idx, feature_ids):
     """Lowest weighted child Gini over candidate features.
 
@@ -43,7 +88,7 @@ def find_best_split(X, y, w, idx, feature_ids):
     best_imp = np.inf
     best = None
     for f in feature_ids:
-        imp, thr, ok = _kernels.gini_best_split(X[idx, f], y[idx], w[idx])
+        imp, thr, ok = gini_best_split(X[idx, f], y[idx], w[idx])
         if ok and imp < best_imp:
             best_imp = imp
             best = (int(f), float(thr))

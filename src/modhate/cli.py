@@ -6,17 +6,13 @@ Conventions shared by the subcommands:
     later stages read from there and add models/ and reports/.
   * every command writes the RunConfig it executed as run_config.<cmd>.json.
   * exit codes: 0 ok, 1 usage error, 2 data error, 3 internal failure.
-  * MODHATE_THREADS caps per-sample extraction parallelism (results are
-    ordered by manifest position either way, so output bytes never change).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -59,14 +55,11 @@ from modhate import feature_selection as fs
 MODALITIES = ("image", "audio", "text")
 
 
-def _threads() -> int:
-    raw = os.environ.get("MODHATE_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise UsageError(f"MODHATE_THREADS must be an integer, got {raw!r}")
-    return min(4, os.cpu_count() or 1)
+def _read_transcript(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise errors.UnreadableFileError(f"cannot read {path}: {e}") from e
 
 
 def _write_run_config(out_dir: Path, command: str, params: dict) -> None:
@@ -121,30 +114,15 @@ def cmd_extract(manifest_path, out, seed, text_mode, stopword_path):
         return extract_image_features(rec.image_dir)
 
     def text_of(rec):
-        try:
-            raw = rec.text_path.read_text(encoding="utf-8")
-        except OSError as e:
-            raise errors.UnreadableFileError(f"cannot read {rec.text_path}: {e}") from e
-        return normalize_and_tokenize(raw, stop)
+        return normalize_and_tokenize(_read_transcript(rec.text_path), stop)
 
     def run_stage(stage, fn):
-        def safe(rec):
-            try:
-                return rec.id, fn(rec)
-            except DataError as e:
-                return rec.id, e
-        n_threads = _threads()
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                results = list(pool.map(safe, records))
-        else:
-            results = [safe(r) for r in records]
         good = []
-        for sid, value in results:
-            if isinstance(value, DataError):
-                warnings.append(f"{sid},{stage},{value}")
-            else:
-                good.append((sid, value))
+        for rec in records:
+            try:
+                good.append((rec.id, fn(rec)))
+            except DataError as e:
+                warnings.append(f"{rec.id},{stage},{e}")
         return good
 
     audio_rows = run_stage("audio", audio_of)
@@ -240,26 +218,6 @@ def _default_k(modality: str, d: int) -> int:
     return min(512, d - 1)
 
 
-def _hp_from_options(algo, seed, learning_rate, iterations, l2, epochs,
-                     k_neighbors, max_depth, ensemble_size) -> Hyperparams:
-    kw = dict(algorithm=algo, seed=seed)
-    if learning_rate is not None:
-        kw["learning_rate"] = learning_rate
-    if iterations is not None:
-        kw["iterations"] = iterations
-    if l2 is not None:
-        kw["l2"] = l2
-    if epochs is not None:
-        kw["epochs"] = epochs
-    if k_neighbors is not None:
-        kw["k_neighbors"] = k_neighbors
-    if max_depth is not None:
-        kw["max_depth"] = max_depth
-    if ensemble_size is not None:
-        kw["ensemble_size"] = ensemble_size
-    return Hyperparams(**kw)
-
-
 def _frontend_for(modality: str, out: Path, text_mode: str | None, stop) -> dict:
     if modality == "audio":
         cfg = FrameConfig()
@@ -292,12 +250,12 @@ def _frontend_for(modality: str, out: Path, text_mode: str | None, stop) -> dict
 @click.option("--k-neighbors", type=int, default=None)
 @click.option("--max-depth", type=int, default=None)
 @click.option("--ensemble-size", type=int, default=None)
-def cmd_train(out, manifest_path, algo, modality, method, k, seed, learning_rate,
-              iterations, l2, epochs, k_neighbors, max_depth, ensemble_size):
+def cmd_train(out, manifest_path, algo, modality, method, k, seed, **hp_options):
     """Fit one algorithm per modality on the train split and save model files."""
     records = parse_manifest(manifest_path)
-    hp = _hp_from_options(algo, seed, learning_rate, iterations, l2, epochs,
-                          k_neighbors, max_depth, ensemble_size)
+    # hyperparameter options left unset keep the Hyperparams defaults
+    hp = Hyperparams(algorithm=algo, seed=seed,
+                     **{name: v for name, v in hp_options.items() if v is not None})
     # text featurization at predict time must match extraction
     run_cfg = out / "run_config.extract.json"
     text_mode = None
@@ -411,7 +369,7 @@ def cmd_predict(model_dir, algo, audio_path, frame_dir, text_path):
                 n_docs=fe["n_docs"],
             )
             stop = frozenset(fe.get("stopwords", []))
-            doc = normalize_and_tokenize(Path(text_path).read_text(encoding="utf-8"), stop)
+            doc = normalize_and_tokenize(_read_transcript(text_path), stop)
             vec = vectorize(doc, vocab, fe.get("mode", "tfidf"))
         votes[mod] = int(model_predict(model, vec.reshape(1, -1))[0])
 

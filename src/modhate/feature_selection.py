@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from modhate import _kernels
 from modhate.errors import BadTargetCountError, EmptyMatrixError, TooFewSamplesError
 
 MI_BINS = 8
@@ -91,7 +90,7 @@ def _bin_codes(col: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def _mi_from_codes(a: np.ndarray, na: int, b: np.ndarray, nb: int) -> float:
-    counts = _kernels.joint_counts(a, b, na, nb)
+    counts = np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb)
     n = a.shape[0]
     p = counts / n
     pa = p.sum(axis=1, keepdims=True)

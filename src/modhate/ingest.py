@@ -186,6 +186,8 @@ def read_wav(path: str | Path) -> AudioClip:
         raise UnsupportedEncodingError(f"{path}: {channels} channels, expected mono")
     if bits != 16:
         raise UnsupportedEncodingError(f"{path}: {bits}-bit samples, expected 16")
+    if rate == 0:
+        raise CorruptHeaderError(f"{path}: sample rate 0")
     if data is None or len(data) < 2:
         raise EmptyAudioError(f"{path}: no audio samples")
 

@@ -4,7 +4,8 @@ import pytest
 from modhate import classifiers as clf
 from modhate.classifiers import Hyperparams, fit_pipeline, predict, train
 from modhate.classifiers.linear import hinge_violations
-from modhate.classifiers.tree import gini
+from modhate.classifiers.neighbors import pairwise_sq_dists
+from modhate.classifiers.tree import gini, gini_best_split
 from modhate.errors import (
     DimensionMismatchError,
     EvenKError,
@@ -124,6 +125,21 @@ class TestKnn:
         m = train("knn", X, y, hp("knn", k_neighbors=1))
         assert np.array_equal(predict(m, X), y)
 
+    def test_exact_tie_goes_to_lower_training_index(self):
+        # duplicate rows with different labels: k=1 must pick the lower index
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
+        q = np.array([[1.0, 1.0], [0.9, 1.1]])
+        for labels in ([0, 0, 1, 1], [0, 1, 0, 1]):
+            y = np.array(labels)
+            m = train("knn", X, y, hp("knn", k_neighbors=1))
+            assert predict(m, q).tolist() == [labels[1], labels[1]]
+
+    def test_distance_hand_values(self):
+        d = pairwise_sq_dists(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[3.0, 4.0]]))
+        assert d.shape == (2, 1)
+        assert d[0, 0] == 25.0
+        assert d[1, 0] == 13.0
+
     def test_even_k(self):
         X, y = blobs(20, 2)
         with pytest.raises(EvenKError):
@@ -174,6 +190,26 @@ class TestDecisionTree:
     def test_gini_values(self):
         assert gini((5.0, 0.0)) == 0.0
         assert gini((5.0, 5.0)) == 0.5
+
+    def test_split_clean_separation(self):
+        imp, thr, ok = gini_best_split(np.array([0.0, 1.0, 2.0, 3.0]),
+                                       np.array([0, 0, 1, 1]), np.ones(4))
+        assert ok and thr == 1.5 and imp == 0.0
+
+    def test_split_constant_column_invalid(self):
+        _, _, ok = gini_best_split(np.ones(5), np.array([0, 1, 0, 1, 0]), np.ones(5))
+        assert not ok
+
+    def test_split_tie_resolves_to_lowest_threshold(self):
+        # two equally good cuts; the scan must return the lower midpoint
+        _, thr, ok = gini_best_split(np.array([0.0, 1.0, 2.0, 3.0]),
+                                     np.array([0, 1, 0, 1]), np.ones(4))
+        assert ok and thr == 0.5
+
+    def test_split_weighted(self):
+        _, thr, ok = gini_best_split(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 1, 1, 1]),
+                                     np.array([10.0, 1.0, 1.0, 1.0]))
+        assert ok and thr == 0.5
 
     def test_1d_threshold_recovery(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -80,6 +81,51 @@ def test_unreadable_wav_skips_with_warning(workspace, tmp_path):
     assert len(warnings) == 1 and warnings[0].startswith("s0002,audio,")
 
 
+def test_zero_rate_wav_skips_with_warning(workspace, tmp_path):
+    corpus2 = tmp_path / "corpus_r0"
+    shutil.copytree(workspace / "corpus", corpus2)
+    wav = corpus2 / "audio" / "s0004.wav"
+    raw = bytearray(wav.read_bytes())
+    raw[24:28] = struct.pack("<I", 0)            # fmt sample-rate field
+    wav.write_bytes(bytes(raw))
+    work2 = tmp_path / "work_r0"
+    assert main(["extract", "--manifest", str(corpus2 / "manifest.csv"),
+                 "--out", str(work2), "--seed", "5"]) == 0
+    warnings = (work2 / "warnings.txt").read_text().strip().splitlines()
+    assert len(warnings) == 1 and warnings[0].startswith("s0004,audio,")
+
+
+def test_non_utf8_transcript_skips_with_warning(workspace, tmp_path):
+    corpus2 = tmp_path / "corpus_enc"
+    shutil.copytree(workspace / "corpus", corpus2)
+    (corpus2 / "text" / "s0003.txt").write_bytes("caf\u00e9 hate\n".encode("latin-1"))
+    work2 = tmp_path / "work_enc"
+    assert main(["extract", "--manifest", str(corpus2 / "manifest.csv"),
+                 "--out", str(work2), "--seed", "5"]) == 0
+    ids, _, _ = read_feature_csv(work2 / "features" / "text.csv")
+    assert len(ids) == 23 and "s0003" not in ids
+    warnings = (work2 / "warnings.txt").read_text().strip().splitlines()
+    assert len(warnings) == 1 and warnings[0].startswith("s0003,text,")
+
+
+def _predict_with_text(workspace, text_path):
+    corpus, work = workspace / "corpus", workspace / "work"
+    return main(["predict", "--models", str(work / "models"), "--algo", "nb",
+                 "--audio", str(corpus / "audio" / "s0001.wav"),
+                 "--frames", str(corpus / "frames" / "s0001"),
+                 "--text", str(text_path)])
+
+
+def test_predict_missing_transcript_is_data_error(workspace, tmp_path):
+    assert _predict_with_text(workspace, tmp_path / "absent.txt") == 2
+
+
+def test_predict_non_utf8_transcript_is_data_error(workspace, tmp_path):
+    text = tmp_path / "latin1.txt"
+    text.write_bytes("caf\u00e9 hate\n".encode("latin-1"))
+    assert _predict_with_text(workspace, text) == 2
+
+
 def test_structural_manifest_error_aborts(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("id,audio_path,image_dir,text_path,label,split\nx,a.wav,d,t.txt,maybe,auto\n")
@@ -134,19 +180,6 @@ def test_vocabulary_ignores_test_split_documents(workspace, tmp_path):
     v_old = (workspace / "work" / "features" / "vocabulary.csv").read_bytes()
     v_new = (work3 / "features" / "vocabulary.csv").read_bytes()
     assert v_old == v_new
-
-
-def test_thread_count_does_not_change_bytes(workspace, tmp_path, monkeypatch):
-    corpus = workspace / "corpus"
-    outs = []
-    for threads in ("1", "3"):
-        work = tmp_path / f"wt{threads}"
-        monkeypatch.setenv("MODHATE_THREADS", threads)
-        assert main(["extract", "--manifest", str(corpus / "manifest.csv"),
-                     "--out", str(work), "--seed", "5"]) == 0
-        outs.append((work / "features" / "audio.csv").read_bytes())
-    monkeypatch.delenv("MODHATE_THREADS")
-    assert outs[0] == outs[1]
 
 
 def test_empty_test_split_is_data_error(workspace, tmp_path):

@@ -95,6 +95,13 @@ class TestMutualInformation:
         y = np.array([0, 1] * 10)
         assert fs.mutual_information(y.astype(float), y) == pytest.approx(1.0, abs=1e-12)
 
+    def test_joint_counts_hand_example(self):
+        # joint counts [[1, 1], [0, 1], [2, 1]] over n = 6, marginals (2, 1, 3) and (3, 3)
+        a = np.array([0, 0, 1, 2, 2, 2])
+        b = np.array([0, 1, 1, 0, 0, 1])
+        want = (1 / 6) * np.log2(2) + (2 / 6) * np.log2(4 / 3) + (1 / 6) * np.log2(2 / 3)
+        assert fs._mi_from_codes(a, 3, b, 2) == pytest.approx(want, abs=1e-12)
+
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(6)
         for _ in range(30):

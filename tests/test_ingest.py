@@ -150,6 +150,15 @@ class TestReadWav:
         with pytest.raises(UnsupportedEncodingError):
             ingest.read_wav(p)
 
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        p = tmp_path / "r0.wav"
+        write_wav(p, np.zeros(100, dtype=np.int16))
+        raw = bytearray(p.read_bytes())
+        raw[24:28] = struct.pack("<I", 0)        # fmt sample-rate field
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CorruptHeaderError):
+            ingest.read_wav(p)
+
     def test_not_wav(self, tmp_path):
         p = tmp_path / "x.wav"
         p.write_bytes(b"this is not audio at all, not even close")

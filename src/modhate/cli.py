@@ -4,7 +4,12 @@ Conventions shared by the subcommands:
 
   * --out names a working directory; extract writes features/ under it and
     later stages read from there and add models/ and reports/.
-  * every command writes the RunConfig it executed as run_config.<cmd>.json.
+  * extract records how it featurized each modality in features/frontend.json;
+    train copies that into each model (and exits 2 without it: rerun
+    extract), so a model file carries all that predict needs. A missing or
+    malformed frontend is a data error.
+  * every command writes the RunConfig it executed as run_config.<cmd>.json,
+    a record that no command reads.
   * exit codes: 0 ok, 1 usage error, 2 data error, 3 internal failure.
 """
 
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -46,7 +52,6 @@ from modhate.text_features import (
     build_vocabulary,
     load_stopwords,
     normalize_and_tokenize,
-    read_vocabulary,
     vectorize,
     write_vocabulary,
 )
@@ -55,11 +60,44 @@ from modhate import feature_selection as fs
 MODALITIES = ("image", "audio", "text")
 
 
-def _read_transcript(path: Path) -> str:
+def _tokens(front: dict, path: Path) -> list[str]:
+    """A transcript's tokens under a text frontend's stop-words."""
     try:
-        return path.read_text(encoding="utf-8")
+        raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise errors.UnreadableFileError(f"cannot read {path}: {e}") from e
+    return normalize_and_tokenize(raw, frozenset(front["stopwords"]))
+
+
+def _featurizer(modality: str, front):
+    """Check a frontend dict and return the function that computes one feature row.
+
+    The function takes a WAV path (audio), a frame directory (image) or the
+    tokens from `_tokens` (text). `extract` and `predict` both featurize
+    through here. A missing, malformed or wrong-kind frontend is a DataError.
+    """
+    if not isinstance(front, dict) or front.get("kind") != modality:
+        raise DataError(f"no {modality} frontend in {front!r:.60}")
+    try:
+        if modality == "audio":
+            cfg = FrameConfig(**{k: operator.index(front[k])
+                                 for k in ("frame_length", "hop_length", "sample_rate")})
+            if cfg.sample_rate <= 0:
+                raise ValueError(f"sample rate {cfg.sample_rate} is not positive")
+            return lambda path: extract_audio_features(read_wav(path), cfg)
+        if modality == "image":
+            return extract_image_features
+        mode, table = front["mode"], front["vocabulary"]
+        if mode not in ("count", "tfidf") or not all(isinstance(t, str) for t in front["stopwords"]):
+            raise ValueError(f"text mode {mode!r} or a stop-word is not valid")
+        vocab = Vocabulary(index={t: operator.index(i) for t, (i, _) in table.items()},
+                           doc_freq={t: df for t, (_, df) in table.items()},
+                           n_docs=front["n_docs"])
+        if sorted(vocab.index.values()) != list(range(len(vocab))):
+            raise ValueError("vocabulary columns are not 0..|V|-1")
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError, UsageError) as e:
+        raise DataError(f"malformed {modality} frontend: {type(e).__name__}: {e}") from e
+    return lambda doc: vectorize(doc, vocab, mode)
 
 
 def _write_run_config(out_dir: Path, command: str, params: dict) -> None:
@@ -100,41 +138,33 @@ def cmd_extract(manifest_path, out, seed, text_mode, stopword_path):
     """Extract per-modality feature CSVs, vocabulary, and the split file."""
     records = parse_manifest(manifest_path)
     split = split_dataset(records, seed=seed)
-    out.mkdir(parents=True, exist_ok=True)
     feat_dir = out / "features"
-    feat_dir.mkdir(exist_ok=True)
+    feat_dir.mkdir(parents=True, exist_ok=True)
     stop = load_stopwords(stopword_path) if stopword_path else DEFAULT_STOPWORDS
+    fronts = {"image": {"kind": "image"},
+              "audio": {"kind": "audio", **dataclasses.asdict(FrameConfig())},
+              "text": {"kind": "text", "mode": text_mode, "stopwords": sorted(stop)}}
 
     warnings: list[str] = []
 
-    def audio_of(rec):
-        return extract_audio_features(read_wav(rec.audio_path))
-
-    def image_of(rec):
-        return extract_image_features(rec.image_dir)
-
-    def text_of(rec):
-        return normalize_and_tokenize(_read_transcript(rec.text_path), stop)
-
-    def run_stage(stage, fn):
+    def run_stage(stage, fn, attr):
         good = []
         for rec in records:
             try:
-                good.append((rec.id, fn(rec)))
+                good.append((rec.id, fn(getattr(rec, attr))))
             except DataError as e:
                 warnings.append(f"{rec.id},{stage},{e}")
         return good
 
-    audio_rows = run_stage("audio", audio_of)
-    image_rows = run_stage("image", image_of)
-    text_docs = run_stage("text", text_of)
+    def write_rows(modality, names, rows):
+        X = np.array([v for _, v in rows]) if rows else np.empty((0, len(names)))
+        tables.write_feature_csv(feat_dir / f"{modality}.csv", names, [sid for sid, _ in rows], X)
 
-    tables.write_feature_csv(feat_dir / "audio.csv", AUDIO_FEATURE_NAMES,
-                             [sid for sid, _ in audio_rows],
-                             np.array([v for _, v in audio_rows]) if audio_rows else np.empty((0, 33)))
-    tables.write_feature_csv(feat_dir / "image.csv", IMAGE_FEATURE_NAMES,
-                             [sid for sid, _ in image_rows],
-                             np.array([v for _, v in image_rows]) if image_rows else np.empty((0, 2500)))
+    audio_rows = run_stage("audio", _featurizer("audio", fronts["audio"]), "audio_path")
+    image_rows = run_stage("image", _featurizer("image", fronts["image"]), "image_dir")
+    text_docs = run_stage("text", lambda path: _tokens(fronts["text"], path), "text_path")
+    write_rows("audio", AUDIO_FEATURE_NAMES, audio_rows)
+    write_rows("image", IMAGE_FEATURE_NAMES, image_rows)
 
     # vocabulary from readable train-split documents only
     train_ids = set(split.train_ids)
@@ -143,11 +173,12 @@ def cmd_extract(manifest_path, out, seed, text_mode, stopword_path):
         raise TooFewSamplesError("no readable training transcripts")
     vocab = build_vocabulary(train_docs)
     write_vocabulary(vocab, feat_dir / "vocabulary.csv")
-    text_names = [f"t_{t}" for t in vocab.tokens]
-    text_matrix = np.array([vectorize(doc, vocab, text_mode) for _, doc in text_docs]) \
-        if text_docs else np.empty((0, len(vocab)))
-    tables.write_feature_csv(feat_dir / "text.csv", text_names,
-                             [sid for sid, _ in text_docs], text_matrix)
+    fronts["text"].update(n_docs=vocab.n_docs, vocabulary={
+        t: [vocab.index[t], vocab.doc_freq[t]] for t in vocab.tokens})
+    text_of = _featurizer("text", fronts["text"])
+    write_rows("text", [f"t_{t}" for t in vocab.tokens], [(sid, text_of(doc)) for sid, doc in text_docs])
+    (feat_dir / "frontend.json").write_text(
+        json.dumps(fronts, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
 
     tables.write_split_csv(feat_dir / "splits.csv", split)
     (out / "warnings.txt").write_text(
@@ -218,23 +249,6 @@ def _default_k(modality: str, d: int) -> int:
     return min(512, d - 1)
 
 
-def _frontend_for(modality: str, out: Path, text_mode: str | None, stop) -> dict:
-    if modality == "audio":
-        cfg = FrameConfig()
-        return {"kind": "audio", "frame_length": cfg.frame_length,
-                "hop_length": cfg.hop_length, "sample_rate": cfg.sample_rate}
-    if modality == "image":
-        return {"kind": "image"}
-    vocab = read_vocabulary(out / "features" / "vocabulary.csv")
-    return {
-        "kind": "text",
-        "mode": text_mode or "tfidf",
-        "n_docs": vocab.n_docs,
-        "vocabulary": {t: [vocab.index[t], vocab.doc_freq[t]] for t in vocab.tokens},
-        "stopwords": sorted(stop),
-    }
-
-
 @cli.command("train")
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(path_type=Path))
@@ -256,25 +270,24 @@ def cmd_train(out, manifest_path, algo, modality, method, k, seed, **hp_options)
     # hyperparameter options left unset keep the Hyperparams defaults
     hp = Hyperparams(algorithm=algo, seed=seed,
                      **{name: v for name, v in hp_options.items() if v is not None})
-    # text featurization at predict time must match extraction
-    run_cfg = out / "run_config.extract.json"
-    text_mode = None
-    stop = DEFAULT_STOPWORDS
-    if run_cfg.exists():
-        params = json.loads(run_cfg.read_text())["params"]
-        text_mode = params.get("text_mode")
-        if params.get("stopwords"):
-            stop = load_stopwords(params["stopwords"])
+    todo = MODALITIES if modality == "all" else (modality,)
+    front_path = out / "features" / "frontend.json"
+    try:
+        fronts = json.loads(front_path.read_text(encoding="utf-8"))
+        fronts = {mod: fronts[mod] for mod in todo}
+    except (OSError, UnicodeDecodeError, ValueError, KeyError, TypeError) as e:
+        raise DataError(f"cannot read the frontends in {front_path} ({e}); rerun extract") from e
+    for mod in todo:   # write no model that predict could not featurize for
+        _featurizer(mod, fronts[mod])
     model_dir = out / "models"
     model_dir.mkdir(parents=True, exist_ok=True)
 
-    todo = MODALITIES if modality == "all" else (modality,)
     for mod in todo:
         ids, names, X, split = _load_stage(out, mod)
         _, Xtr, ytr = _train_matrix(ids, X, split, records)
         select_k = k if k is not None else (_default_k(mod, X.shape[1]) if method != "none" else None)
         model = fit_pipeline(algo, Xtr, ytr, hp, select=method, k=select_k)
-        model = dataclasses.replace(model, frontend=_frontend_for(mod, out, text_mode, stop))
+        model = dataclasses.replace(model, frontend=fronts[mod])
         path = model_dir / f"{algo}_{mod}.json"
         save_model(model, path)
         click.echo(f"trained {algo} on {mod}: {Xtr.shape[0]} rows, {Xtr.shape[1]} features -> {path}")
@@ -354,29 +367,15 @@ def cmd_predict(model_dir, algo, audio_path, frame_dir, text_path):
         if not path.exists():
             raise IncompleteResultsError(f"missing model file {path}")
         model = load_model(path)
-        fe = model.frontend or {}
-        if mod == "audio":
-            cfg = FrameConfig(frame_length=fe.get("frame_length", 512),
-                              hop_length=fe.get("hop_length", 256),
-                              sample_rate=fe.get("sample_rate", 22050))
-            vec = extract_audio_features(read_wav(audio_path), cfg)
-        elif mod == "image":
-            vec = extract_image_features(frame_dir)
-        else:
-            vocab = Vocabulary(
-                index={t: v[0] for t, v in fe["vocabulary"].items()},
-                doc_freq={t: v[1] for t, v in fe["vocabulary"].items()},
-                n_docs=fe["n_docs"],
-            )
-            stop = frozenset(fe.get("stopwords", []))
-            doc = normalize_and_tokenize(_read_transcript(text_path), stop)
-            vec = vectorize(doc, vocab, fe.get("mode", "tfidf"))
-        votes[mod] = int(model_predict(model, vec.reshape(1, -1))[0])
+        featurize = _featurizer(mod, model.frontend)
+        source = _tokens(model.frontend, text_path) if mod == "text" else \
+            {"audio": audio_path, "image": frame_dir}[mod]
+        votes[mod] = model_predict(model, featurize(source).reshape(1, -1))
 
-    fused = 1 if sum(votes.values()) >= 2 else 0
+    fused = hard_vote(ModalityPredictions(**votes))[0]
     for mod in MODALITIES:
-        click.echo(f"{mod}: {'hate' if votes[mod] else 'nonhate'}")
-    click.echo(f"fused: {'hate' if fused else 'nonhate'} (votes {sum(votes.values())}/3)")
+        click.echo(f"{mod}: {'hate' if votes[mod][0] else 'nonhate'}")
+    click.echo(f"fused: {'hate' if fused else 'nonhate'} (votes {sum(votes.values())[0]}/3)")
 
 
 @cli.command("report")

@@ -89,7 +89,7 @@ def parse_manifest(path: str | Path) -> list[ManifestRecord]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UnreadableFileError(f"cannot read manifest {path}: {e}") from e
     base = path.parent
 

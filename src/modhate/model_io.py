@@ -21,7 +21,7 @@ from modhate.classifiers.ensemble import AdaboostParams, ForestParams, Stump
 from modhate.classifiers.linear import LogregParams, SvmParams
 from modhate.classifiers.neighbors import KnnParams
 from modhate.classifiers.tree import TreeNode, TreeParams
-from modhate.errors import DataError
+from modhate.errors import DataError, UsageError
 from modhate.feature_selection import StandardizationParams
 
 FORMAT_TAG = "modhate.model/1"
@@ -110,24 +110,28 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
-    if doc.get("format") != FORMAT_TAG:
-        raise DataError(f"unsupported model format {doc.get('format')!r}")
-    algorithm = doc["algorithm"]
-    std = None
-    if doc["standardization"] is not None:
-        std = StandardizationParams(
-            mean=np.array(doc["standardization"]["mean"], dtype=np.float64),
-            std=np.array(doc["standardization"]["std"], dtype=np.float64),
+    """Rebuild a model document; a document that does not fit the schema is a DataError."""
+    try:
+        if doc.get("format") != FORMAT_TAG:
+            raise DataError(f"unsupported model format {doc.get('format')!r}")
+        algorithm = doc["algorithm"]
+        std = None
+        if doc["standardization"] is not None:
+            std = StandardizationParams(
+                mean=np.array(doc["standardization"]["mean"], dtype=np.float64),
+                std=np.array(doc["standardization"]["std"], dtype=np.float64),
+            )
+        return TrainedModel(
+            algorithm=algorithm,
+            hyperparams=Hyperparams(**doc["hyperparams"]),
+            n_features=int(doc["n_features"]),
+            payload=_payload_from_dict(algorithm, doc["payload"]),
+            standardization=std,
+            selected=tuple(doc["selected"]) if doc["selected"] is not None else None,
+            frontend=doc["frontend"],
         )
-    return TrainedModel(
-        algorithm=algorithm,
-        hyperparams=Hyperparams(**doc["hyperparams"]),
-        n_features=int(doc["n_features"]),
-        payload=_payload_from_dict(algorithm, doc["payload"]),
-        standardization=std,
-        selected=tuple(doc["selected"]) if doc["selected"] is not None else None,
-        frontend=doc["frontend"],
-    )
+    except (KeyError, TypeError, ValueError, AttributeError, UsageError) as e:
+        raise DataError(f"malformed model document: {type(e).__name__}: {e}") from e
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -138,6 +142,6 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TrainedModel:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"cannot load model {path}: {e}") from e
     return model_from_dict(doc)

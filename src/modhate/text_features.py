@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from modhate.errors import CorruptHeaderError, EmptyCorpusError, UnreadableFileError
+from modhate.errors import EmptyCorpusError, UnreadableFileError
 
 _TOKEN_SPLIT = re.compile(r"[^a-z]+")
 
@@ -37,13 +37,18 @@ class Vocabulary:
     index: dict[str, int]       # token -> dense column, lexicographic order
     doc_freq: dict[str, int]    # token -> number of training docs containing it
     n_docs: int
+    # derived once from the three fields above; equality compares only those
+    tokens: list[str] = field(init=False, compare=False, repr=False)
+    idf: np.ndarray = field(init=False, compare=False, repr=False)   # ln(N/n_t), column order
+
+    def __post_init__(self):
+        tokens = sorted(self.index, key=self.index.get)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "idf", np.array(
+            [math.log(self.n_docs / self.doc_freq[t]) for t in tokens], dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.index)
-
-    @property
-    def tokens(self) -> list[str]:
-        return sorted(self.index, key=self.index.get)
 
 
 def normalize_and_tokenize(raw: str, stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS) -> list[str]:
@@ -83,8 +88,7 @@ def tfidf_vectorize(doc: list[str], vocab: Vocabulary) -> np.ndarray:
     if not doc:
         return counts
     tf = counts / len(doc)
-    idf = np.array([math.log(vocab.n_docs / vocab.doc_freq[t]) for t in vocab.tokens])
-    return tf * idf
+    return tf * vocab.idf
 
 
 def vectorize(doc: list[str], vocab: Vocabulary, mode: str) -> np.ndarray:
@@ -109,19 +113,3 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     lines = [f"# n_docs={vocab.n_docs}", "token,index,doc_freq"]
     lines += [f"{t},{vocab.index[t]},{vocab.doc_freq[t]}" for t in vocab.tokens]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_vocabulary(path: str | Path) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("# n_docs="):
-        raise CorruptHeaderError(f"{path}: missing n_docs header")
-    n_docs = int(lines[0].split("=", 1)[1])
-    index: dict[str, int] = {}
-    df: dict[str, int] = {}
-    for line in lines[2:]:
-        if not line.strip():
-            continue
-        tok, idx, freq = line.split(",")
-        index[tok] = int(idx)
-        df[tok] = int(freq)
-    return Vocabulary(index=index, doc_freq=df, n_docs=n_docs)

@@ -202,7 +202,7 @@ def test_end_to_end_determinism(demo_pipeline, tmp_path):
     assert main(["evaluate", "--out", str(work2), "--manifest", str(corpus / "manifest.csv"),
                  "--algo", "logreg"]) == 0
     for rel in ("features/audio.csv", "features/image.csv", "features/text.csv",
-                "features/vocabulary.csv", "features/splits.csv",
+                "features/vocabulary.csv", "features/splits.csv", "features/frontend.json",
                 "models/logreg_image.json", "models/logreg_audio.json",
                 "models/logreg_text.json", "reports/report_logreg.csv",
                 "reports/report_logreg.txt"):

@@ -1,11 +1,15 @@
 import json
+import os
 import shutil
 import struct
 
 import numpy as np
 import pytest
 
+from modhate.classifiers import predict as model_predict
 from modhate.cli import main
+from modhate.fusion_eval import ModalityPredictions, hard_vote
+from modhate.model_io import load_model
 from modhate.tables import read_feature_csv, read_split_csv
 
 
@@ -25,7 +29,8 @@ def workspace(tmp_path_factory):
 
 def test_extract_outputs(workspace):
     work = workspace / "work"
-    for name in ("audio.csv", "image.csv", "text.csv", "vocabulary.csv", "splits.csv"):
+    for name in ("audio.csv", "image.csv", "text.csv", "vocabulary.csv", "splits.csv",
+                 "frontend.json"):
         assert (work / "features" / name).exists()
     ids, names, X = read_feature_csv(work / "features" / "audio.csv")
     assert len(ids) == 24 and len(names) == 33 and X.shape == (24, 33)
@@ -108,12 +113,15 @@ def test_non_utf8_transcript_skips_with_warning(workspace, tmp_path):
     assert len(warnings) == 1 and warnings[0].startswith("s0003,text,")
 
 
+def _predict(corpus, models, sid, text_path=None):
+    return main(["predict", "--models", str(models), "--algo", "nb",
+                 "--audio", str(corpus / "audio" / f"{sid}.wav"),
+                 "--frames", str(corpus / "frames" / sid),
+                 "--text", str(text_path or corpus / "text" / f"{sid}.txt")])
+
+
 def _predict_with_text(workspace, text_path):
-    corpus, work = workspace / "corpus", workspace / "work"
-    return main(["predict", "--models", str(work / "models"), "--algo", "nb",
-                 "--audio", str(corpus / "audio" / "s0001.wav"),
-                 "--frames", str(corpus / "frames" / "s0001"),
-                 "--text", str(text_path)])
+    return _predict(workspace / "corpus", workspace / "work" / "models", "s0001", text_path)
 
 
 def test_predict_missing_transcript_is_data_error(workspace, tmp_path):
@@ -209,3 +217,121 @@ def test_selection_report(workspace, tmp_path):
     assert lines[0] == "# modality=audio method=mrmr k=5"
     assert sum(1 for ln in lines if ln.endswith(",selected")) == 5
     assert sum(1 for ln in lines if ln.endswith(",dropped")) == 28
+
+
+@pytest.fixture(scope="module")
+def count_workspace(workspace):
+    """extract --text-mode count with a relative stop-word file that is then
+    deleted; train runs from another directory. Returns (work, train exit code)."""
+    root = workspace / "counted"
+    (root / "elsewhere").mkdir(parents=True)
+    corpus = workspace / "corpus"
+    cwd = os.getcwd()
+    try:
+        os.chdir(root)
+        (root / "stop.txt").write_text("video\nday\npeople\nworld\nthe\n", encoding="utf-8")
+        assert main(["extract", "--manifest", str(corpus / "manifest.csv"), "--out", "work",
+                     "--seed", "5", "--text-mode", "count", "--stopwords", "stop.txt"]) == 0
+        (root / "stop.txt").unlink()
+        os.chdir(root / "elsewhere")
+        rc = main(["train", "--out", str(root / "work"), "--manifest", str(corpus / "manifest.csv"),
+                   "--algo", "nb"])
+    finally:
+        os.chdir(cwd)
+    return root / "work", rc
+
+
+def test_train_copies_recorded_frontend(count_workspace):
+    work, rc = count_workspace
+    assert rc == 0
+    fronts = json.loads((work / "features" / "frontend.json").read_text(encoding="utf-8"))
+    assert set(fronts) == {"audio", "image", "text"}
+    assert fronts["text"]["mode"] == "count"
+    assert fronts["text"]["stopwords"] == ["day", "people", "the", "video", "world"]
+    for mod in ("audio", "image", "text"):
+        doc = json.loads((work / "models" / f"nb_{mod}.json").read_text(encoding="utf-8"))
+        assert doc["frontend"] == fronts[mod]
+
+
+def test_predict_matches_extracted_rows(count_workspace, workspace, capsys):
+    # predict featurizes raw inputs; its votes must equal the model's votes on
+    # the rows extract wrote for the same samples
+    work, _ = count_workspace
+    corpus = workspace / "corpus"
+    splits = read_split_csv(work / "features" / "splits.csv")
+    rows, votes = {}, {}
+    for mod in ("image", "audio", "text"):
+        ids, _, X = read_feature_csv(work / "features" / f"{mod}.csv")
+        rows[mod] = dict(zip(ids, X))
+    test_ids = sorted(sid for sid, s in splits.items() if s == "test")
+    assert test_ids
+    for mod in ("image", "audio", "text"):
+        model = load_model(work / "models" / f"nb_{mod}.json")
+        votes[mod] = model_predict(model, np.array([rows[mod][sid] for sid in test_ids]))
+    fused = hard_vote(ModalityPredictions(**votes))
+    capsys.readouterr()
+    for i, sid in enumerate(test_ids):
+        assert _predict(corpus, work / "models", sid) == 0
+        want = [f"{mod}: {'hate' if votes[mod][i] else 'nonhate'}" for mod in ("image", "audio", "text")]
+        n = sum(int(votes[mod][i]) for mod in votes)
+        want.append(f"fused: {'hate' if fused[i] else 'nonhate'} (votes {n}/3)")
+        assert capsys.readouterr().out.splitlines() == want, sid
+
+
+def _edit_model(workspace, tmp_path, name, edit):
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "work" / "models", models)
+    path = models / name
+    path.write_bytes(edit(path.read_bytes()))
+    return models
+
+
+def _edit_frontend(edit):
+    def apply(raw):
+        doc = json.loads(raw)
+        edit(doc["frontend"])
+        return json.dumps(doc).encode()
+    return apply
+
+
+def test_predict_text_model_without_vocabulary_is_data_error(workspace, tmp_path):
+    models = _edit_model(workspace, tmp_path, "nb_text.json",
+                         _edit_frontend(lambda fe: fe.pop("vocabulary")))
+    assert _predict(workspace / "corpus", models, "s0001") == 2
+
+
+def test_predict_audio_model_with_image_frontend_is_data_error(workspace, tmp_path):
+    models = _edit_model(workspace, tmp_path, "nb_audio.json",
+                         _edit_frontend(lambda fe: fe.update(kind="image")))
+    assert _predict(workspace / "corpus", models, "s0001") == 2
+
+
+def test_predict_non_utf8_model_is_data_error(workspace, tmp_path):
+    models = _edit_model(workspace, tmp_path, "nb_audio.json", lambda raw: raw + b"\xff")
+    assert _predict(workspace / "corpus", models, "s0001") == 2
+
+
+def test_predict_model_missing_payload_key_is_data_error(workspace, tmp_path):
+    def drop_means(raw):
+        doc = json.loads(raw)
+        del doc["payload"]["means"]
+        return json.dumps(doc).encode()
+    models = _edit_model(workspace, tmp_path, "nb_audio.json", drop_means)
+    assert _predict(workspace / "corpus", models, "s0001") == 2
+
+
+def test_train_without_frontend_file_is_data_error(workspace, tmp_path):
+    work = tmp_path / "nofront"
+    shutil.copytree(workspace / "work", work)
+    (work / "features" / "frontend.json").unlink()
+    assert main(["train", "--out", str(work), "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--algo", "nb", "--modality", "audio"]) == 2
+
+
+def test_non_utf8_manifest_aborts(workspace, tmp_path):
+    corpus = workspace / "corpus"
+    lines = (corpus / "manifest.csv").read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace(",audio/", f",{corpus}/audio/caf\u00e9")
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    assert main(["extract", "--manifest", str(bad), "--out", str(tmp_path / "w")]) == 2

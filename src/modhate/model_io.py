@@ -74,8 +74,14 @@ def _payload_from_dict(algorithm: str, d: dict):
     if algorithm == "svm":
         return SvmParams(weights=np.array(d["weights"], dtype=np.float64), bias=float(d["bias"]))
     if algorithm == "knn":
-        return KnnParams(train_x=np.array(d["train_x"], dtype=np.float64),
-                         train_y=np.array(d["train_y"], dtype=np.int64), k=int(d["k"]))
+        knn = KnnParams(train_x=np.array(d["train_x"], dtype=np.float64),
+                        train_y=np.array(d["train_y"], dtype=np.int64), k=int(d["k"]))
+        x, y = knn.train_x, knn.train_y
+        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+            raise DataError(f"knn train_x of shape {x.shape} does not match train_y of shape {y.shape}")
+        if not (1 <= knn.k <= y.shape[0] and knn.k % 2 == 1):
+            raise DataError(f"knn k={knn.k} is not an odd number in 1..{y.shape[0]}")
+        return knn
     if algorithm == "nb":
         return NbParams(log_priors=np.array(d["log_priors"], dtype=np.float64),
                         means=np.array(d["means"], dtype=np.float64),

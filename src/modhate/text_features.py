@@ -103,7 +103,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     """One token per line, UTF-8; blank lines ignored."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UnreadableFileError(f"cannot read stopword file {path}: {e}") from e
     return frozenset(t.strip().lower() for t in lines if t.strip())
 

@@ -10,7 +10,8 @@ from modhate.errors import (
     LengthMismatchError,
     UsageError,
 )
-from modhate.ingest import AudioClip
+from modhate.ingest import AudioClip, read_wav
+from modhate.synthetic import SyntheticCorpusSpec, generate_demo_corpus
 
 SR = 22050
 WL = 512
@@ -342,3 +343,84 @@ class TestExtractAudioFeatures:
         a = af.extract_audio_features(clip_of(x))
         b = af.extract_audio_features(clip_of(x.copy()))
         assert np.array_equal(a, b)
+
+
+    def test_frame_length_not_divisible_by_subframes(self):
+        with pytest.raises(BadSubframeCountError):
+            af.extract_audio_features(clip_of(np.ones(2000)), af.FrameConfig(500, 250))
+
+
+def per_frame_features(clip, cfg):
+    """Reference: the per-frame functions applied frame by frame, then averaged."""
+    frames = af.frame_signal(clip, cfg)
+    window = af._hann(cfg.frame_length)
+    rows = np.empty((frames.shape[0], af.N_AUDIO_FEATURES))
+    prev = None
+    for i, frame in enumerate(frames):
+        spec = af.magnitude_spectrum(frame * window, cfg.sample_rate)
+        centroid, spread = af.spectral_centroid_spread(spec)
+        flux = 0.0 if prev is None else af.spectral_flux(spec, prev)
+        rows[i, 0] = af.energy(frame)
+        rows[i, 1] = af.zero_crossing_rate(frame)
+        rows[i, 2] = af.energy_entropy(frame)
+        rows[i, 3] = centroid
+        rows[i, 4] = spread
+        rows[i, 5] = af.spectral_entropy(spec)
+        rows[i, 6] = flux
+        rows[i, 7] = af.spectral_rolloff(spec)
+        rows[i, 8:8 + af.N_MFCC_COEFFS] = af.mfcc(spec)
+        rows[i, 8 + af.N_MFCC_COEFFS:] = af.chroma_vector(spec)
+        prev = spec
+    return rows.mean(axis=0)
+
+
+# the default and two others, used in turn so that constants cached under
+# the wrong config would show
+CONFIGS = (af.FrameConfig(), af.FrameConfig(256, 128, 8000), af.FrameConfig(1024, 512, 44100))
+
+
+def assert_bitwise_equal_to_oracle(clip, cfg):
+    got, want = af.extract_audio_features(clip, cfg), per_frame_features(clip, cfg)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+        [af.AUDIO_FEATURE_NAMES[i] for i in np.flatnonzero(got != want)]
+
+
+@pytest.fixture(scope="module")
+def demo_clips(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("demo_audio")
+    generate_demo_corpus(SyntheticCorpusSpec(n_samples=12, seed=42), corpus)
+    return [read_wav(p) for p in sorted((corpus / "audio").glob("*.wav"))]
+
+
+def gappy_clip():
+    # noise bursts around silence: whole zero frames, and frames whose first
+    # or last energy sub-frames are zero
+    x = np.random.default_rng(14).uniform(-1, 1, 3000)
+    x[600:1800] = 0.0
+    x[2100:2180] = 0.0
+    return clip_of(x)
+
+
+class TestBlockMatchesPerFrameOracle:
+    def test_demo_clips(self, demo_clips):
+        for clip in demo_clips:
+            for cfg in CONFIGS:
+                assert_bitwise_equal_to_oracle(clip, cfg)
+
+    @pytest.mark.parametrize("clip", [
+        clip_of(np.zeros(SR)),
+        clip_of(np.random.default_rng(15).uniform(-1, 1, 100)),
+        gappy_clip(),
+    ], ids=["all_zero", "shorter_than_a_frame", "zero_energy_subframes"])
+    def test_edge_clips(self, clip):
+        for cfg in CONFIGS:
+            assert_bitwise_equal_to_oracle(clip, cfg)
+
+    @given(n=st.integers(min_value=1, max_value=4000),
+           amplitude=st.sampled_from([0.0, 1e-9, 0.01, 1.0, 3.0]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           cfg=st.sampled_from(CONFIGS))
+    @settings(max_examples=40, deadline=None)
+    def test_random_clips(self, n, amplitude, seed, cfg):
+        x = amplitude * np.random.default_rng(seed).uniform(-1, 1, n)
+        assert_bitwise_equal_to_oracle(clip_of(x), cfg)

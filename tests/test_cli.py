@@ -113,8 +113,8 @@ def test_non_utf8_transcript_skips_with_warning(workspace, tmp_path):
     assert len(warnings) == 1 and warnings[0].startswith("s0003,text,")
 
 
-def _predict(corpus, models, sid, text_path=None):
-    return main(["predict", "--models", str(models), "--algo", "nb",
+def _predict(corpus, models, sid, text_path=None, algo="nb"):
+    return main(["predict", "--models", str(models), "--algo", algo,
                  "--audio", str(corpus / "audio" / f"{sid}.wav"),
                  "--frames", str(corpus / "frames" / sid),
                  "--text", str(text_path or corpus / "text" / f"{sid}.txt")])
@@ -335,3 +335,53 @@ def test_non_utf8_manifest_aborts(workspace, tmp_path):
     bad = tmp_path / "latin1.csv"
     bad.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     assert main(["extract", "--manifest", str(bad), "--out", str(tmp_path / "w")]) == 2
+
+
+def test_predict_frame_length_not_multiple_of_subframes_is_data_error(workspace, tmp_path):
+    models = _edit_model(workspace, tmp_path, "nb_audio.json",
+                         _edit_frontend(lambda fe: fe.update(frame_length=500)))
+    assert _predict(workspace / "corpus", models, "s0001") == 2
+
+
+def test_predict_knn_model_with_k_above_training_rows_is_data_error(workspace, tmp_path):
+    work = tmp_path / "workknn"
+    shutil.copytree(workspace / "work", work)
+    assert main(["train", "--out", str(work), "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--algo", "knn"]) == 0
+
+    def set_k(raw):
+        doc = json.loads(raw)
+        doc["payload"]["k"] = 999
+        return json.dumps(doc).encode()
+    path = work / "models" / "knn_audio.json"
+    path.write_bytes(set_k(path.read_bytes()))
+    assert _predict(workspace / "corpus", work / "models", "s0001", algo="knn") == 2
+
+
+def test_extract_non_utf8_stopwords_is_data_error(workspace, tmp_path):
+    stop = tmp_path / "stop.txt"
+    stop.write_bytes("caf\u00e9\nthe\n".encode("latin-1"))
+    assert main(["extract", "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--out", str(tmp_path / "w"), "--stopwords", str(stop)]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--algo", "nb"],
+    ["train", "--algo", "nb", "--modality", "audio"],
+    ["select", "--modality", "audio", "--select", "mrmr", "--k", "3"],
+], ids=lambda c: c[0])
+def test_manifest_lacking_feature_ids_is_data_error(workspace, tmp_path, capsys, command):
+    # the manifest drops one train-split and one test-split sample that the
+    # features hold; the error names the one the command needs
+    splits = read_split_csv(workspace / "work" / "features" / "splits.csv")
+    dropped = {min(sid for sid, s in splits.items() if s == side) for side in ("train", "test")}
+    lines = (workspace / "corpus" / "manifest.csv").read_text(encoding="utf-8").splitlines()
+    manifest = tmp_path / "lacking.csv"
+    manifest.write_text("\n".join(ln for ln in lines if ln.split(",")[0] not in dropped) + "\n",
+                        encoding="utf-8")
+    work = tmp_path / "work"
+    shutil.copytree(workspace / "work", work)
+    capsys.readouterr()
+    assert main(command + ["--out", str(work), "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and any(sid in err for sid in dropped)

@@ -85,6 +85,21 @@ def test_non_utf8_file_rejected(tmp_path):
         model_io.load_model(p)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(k=2),
+    lambda p: p.update(k=0),
+    lambda p: p.update(k=41),
+    lambda p: p.update(train_y=p["train_y"][:-1]),
+    lambda p: p.update(train_x=p["train_x"][0]),
+], ids=["even_k", "zero_k", "k_above_rows", "fewer_labels_than_rows", "one_dimensional_x"])
+def test_inconsistent_knn_payload_rejected(edit):
+    X, y = small_set()
+    doc = model_io.model_to_dict(train("knn", X, y, hp_for("knn")))
+    edit(doc["payload"])
+    with pytest.raises(DataError):
+        model_io.model_from_dict(doc)
+
+
 def _key_paths(node, prefix=()):
     """Every (path, key) whose deletion removes one dict key, at any depth."""
     if isinstance(node, dict):

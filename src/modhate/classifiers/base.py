@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -41,8 +42,8 @@ class Hyperparams:
             object.__setattr__(self, "ensemble_size", _ENSEMBLE_DEFAULTS.get(self.algorithm, 1))
         for name in ("learning_rate", "iterations", "l2", "epochs", "k_neighbors",
                      "max_depth", "min_samples_split", "ensemble_size"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"hyperparameter {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise UsageError(f"hyperparameter {name} must be positive and finite")
         if self.algorithm == "knn" and self.k_neighbors % 2 == 0:
             raise EvenKError(f"k must be odd, got {self.k_neighbors}")
 

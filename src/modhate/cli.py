@@ -6,8 +6,10 @@ Conventions shared by the subcommands:
     later stages read from there and add models/ and reports/.
   * extract records how it featurized each modality in features/frontend.json;
     train copies that into each model (and exits 2 without it: rerun
-    extract), so a model file carries all that predict needs. A missing or
-    malformed frontend is a data error.
+    extract), so a model file carries all that predict needs. A malformed
+    frontend, or an audio one other than AUDIO_FRONTEND, is a data error.
+  * each file a stage reads has one loader that checks it and raises only
+    DataError, so a malformed artifact is exit 2 wherever it is read.
   * every command writes the RunConfig it executed as run_config.<cmd>.json,
     a record that no command reads.
   * exit codes: 0 ok, 1 usage error, 2 data error, 3 internal failure.
@@ -24,23 +26,18 @@ from pathlib import Path
 import click
 import numpy as np
 
-from modhate import errors, tables
-from modhate.audio_features import (
-    AUDIO_FEATURE_NAMES,
-    ENERGY_ENTROPY_SUBFRAMES,
-    FrameConfig,
-    extract_audio_features,
-)
+from modhate import tables
+from modhate.audio_features import AUDIO_FEATURE_NAMES, FrameConfig, extract_audio_features
 from modhate.classifiers import ALGORITHM_TAGS, Hyperparams, fit_pipeline
 from modhate.classifiers import predict as model_predict
 from modhate.errors import (
     DataError,
     IncompleteResultsError,
-    ModhateError,
     TooFewSamplesError,
     UsageError,
 )
 from modhate.fusion_eval import (
+    EvaluationReport,
     ModalityPredictions,
     build_report,
     confusion,
@@ -48,7 +45,7 @@ from modhate.fusion_eval import (
     parse_report_csv,
 )
 from modhate.image_features import IMAGE_FEATURE_NAMES, extract_image_features
-from modhate.ingest import parse_manifest, read_wav, split_dataset
+from modhate.ingest import parse_manifest, read_json, read_text, read_wav, split_dataset
 from modhate.model_io import load_model, save_model
 from modhate.synthetic import SyntheticCorpusSpec, generate_demo_corpus
 from modhate.text_features import (
@@ -63,15 +60,13 @@ from modhate.text_features import (
 from modhate import feature_selection as fs
 
 MODALITIES = ("image", "audio", "text")
+# read_wav resamples every clip to 22050 Hz, so this is the one audio frontend
+AUDIO_FRONTEND = {"kind": "audio", **dataclasses.asdict(FrameConfig())}
 
 
 def _tokens(front: dict, path: Path) -> list[str]:
     """A transcript's tokens under a text frontend's stop-words."""
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise errors.UnreadableFileError(f"cannot read {path}: {e}") from e
-    return normalize_and_tokenize(raw, frozenset(front["stopwords"]))
+    return normalize_and_tokenize(read_text(path, "transcript"), frozenset(front["stopwords"]))
 
 
 def _featurizer(modality: str, front):
@@ -79,22 +74,18 @@ def _featurizer(modality: str, front):
 
     The function takes a WAV path (audio), a frame directory (image) or the
     tokens from `_tokens` (text). `extract` and `predict` both featurize
-    through here. A missing, malformed or wrong-kind frontend is a DataError.
+    through here. A missing, malformed or wrong-kind frontend, or an audio
+    frontend other than AUDIO_FRONTEND, is a DataError.
     """
     if not isinstance(front, dict) or front.get("kind") != modality:
         raise DataError(f"no {modality} frontend in {front!r:.60}")
+    if modality == "audio":
+        if front != AUDIO_FRONTEND:
+            raise DataError(f"audio frontend {front!r:.80} is not {AUDIO_FRONTEND}, the one extract writes")
+        return lambda path: extract_audio_features(read_wav(path), FrameConfig())
+    if modality == "image":
+        return extract_image_features
     try:
-        if modality == "audio":
-            cfg = FrameConfig(**{k: operator.index(front[k])
-                                 for k in ("frame_length", "hop_length", "sample_rate")})
-            if cfg.sample_rate <= 0:
-                raise ValueError(f"sample rate {cfg.sample_rate} is not positive")
-            if cfg.frame_length % ENERGY_ENTROPY_SUBFRAMES != 0:
-                raise ValueError(f"frame length {cfg.frame_length} is not a multiple of "
-                                 f"{ENERGY_ENTROPY_SUBFRAMES} sub-frames")
-            return lambda path: extract_audio_features(read_wav(path), cfg)
-        if modality == "image":
-            return extract_image_features
         mode, table = front["mode"], front["vocabulary"]
         if mode not in ("count", "tfidf") or not all(isinstance(t, str) for t in front["stopwords"]):
             raise ValueError(f"text mode {mode!r} or a stop-word is not valid")
@@ -103,8 +94,8 @@ def _featurizer(modality: str, front):
                            n_docs=front["n_docs"])
         if sorted(vocab.index.values()) != list(range(len(vocab))):
             raise ValueError("vocabulary columns are not 0..|V|-1")
-    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError, UsageError) as e:
-        raise DataError(f"malformed {modality} frontend: {type(e).__name__}: {e}") from e
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as e:
+        raise DataError(f"malformed text frontend: {type(e).__name__}: {e}") from e
     return lambda doc: vectorize(doc, vocab, mode)
 
 
@@ -154,8 +145,7 @@ def cmd_extract(manifest_path, out, seed, text_mode, stopword_path):
     feat_dir = out / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     stop = load_stopwords(stopword_path) if stopword_path else DEFAULT_STOPWORDS
-    fronts = {"image": {"kind": "image"},
-              "audio": {"kind": "audio", **dataclasses.asdict(FrameConfig())},
+    fronts = {"image": {"kind": "image"}, "audio": AUDIO_FRONTEND,
               "text": {"kind": "text", "mode": text_mode, "stopwords": sorted(stop)}}
 
     warnings: list[str] = []
@@ -205,10 +195,8 @@ def cmd_extract(manifest_path, out, seed, text_mode, stopword_path):
 
 
 def _load_stage(out: Path, modality: str):
-    feat_dir = out / "features"
-    ids, names, X = tables.read_feature_csv(feat_dir / f"{modality}.csv")
-    split = tables.read_split_csv(feat_dir / "splits.csv")
-    return ids, names, X, split
+    ids, names, X = tables.read_feature_csv(out / "features" / f"{modality}.csv")
+    return ids, names, X, tables.read_split_csv(out / "features" / "splits.csv")
 
 
 def _train_matrix(ids, X, split, records):
@@ -285,11 +273,9 @@ def cmd_train(out, manifest_path, algo, modality, method, k, seed, **hp_options)
                      **{name: v for name, v in hp_options.items() if v is not None})
     todo = MODALITIES if modality == "all" else (modality,)
     front_path = out / "features" / "frontend.json"
-    try:
-        fronts = json.loads(front_path.read_text(encoding="utf-8"))
-        fronts = {mod: fronts[mod] for mod in todo}
-    except (OSError, UnicodeDecodeError, ValueError, KeyError, TypeError) as e:
-        raise DataError(f"cannot read the frontends in {front_path} ({e}); rerun extract") from e
+    fronts = read_json(front_path, "extract's frontend file")
+    if not isinstance(fronts, dict) or not fronts.keys() >= set(todo):
+        raise DataError(f"{front_path} lacks a frontend of {', '.join(todo)}; rerun extract")
     for mod in todo:   # write no model that predict could not featurize for
         _featurizer(mod, fronts[mod])
     model_dir = out / "models"
@@ -315,10 +301,7 @@ def _predictions_on_split(out, records, algo, which_split, model_paths=None):
     per_mod = {}
     id_sets = []
     for mod in MODALITIES:
-        path = (model_paths or {}).get(mod) or out / "models" / f"{algo}_{mod}.json"
-        if not Path(path).exists():
-            raise IncompleteResultsError(f"missing model file {path}")
-        model = load_model(path)
+        model = load_model((model_paths or {}).get(mod) or out / "models" / f"{algo}_{mod}.json")
         ids, _, X, split = _load_stage(out, mod)
         keep = [i for i, sid in enumerate(ids) if split.get(sid) == which_split]
         sids = [ids[i] for i in keep]
@@ -376,10 +359,7 @@ def cmd_predict(model_dir, algo, audio_path, frame_dir, text_path):
     """Classify one raw sample and fuse the three modality decisions."""
     votes = {}
     for mod in MODALITIES:
-        path = model_dir / f"{algo}_{mod}.json"
-        if not path.exists():
-            raise IncompleteResultsError(f"missing model file {path}")
-        model = load_model(path)
+        model = load_model(model_dir / f"{algo}_{mod}.json")
         featurize = _featurizer(mod, model.frontend)
         source = _tokens(model.frontend, text_path) if mod == "text" else \
             {"audio": audio_path, "image": frame_dir}[mod]
@@ -400,10 +380,9 @@ def cmd_report(out):
     for algo in ALGORITHM_TAGS:
         path = report_dir / f"report_{algo}.csv"
         if path.exists():
-            rows.extend(parse_report_csv(path.read_text(encoding="utf-8")).rows)
+            rows.extend(parse_report_csv(read_text(path, "report")).rows)
     if not rows:
         raise IncompleteResultsError(f"no report_<algo>.csv files under {report_dir}")
-    from modhate.fusion_eval import EvaluationReport
     merged = EvaluationReport(rows=tuple(rows))
     (report_dir / "summary.csv").write_text(merged.to_csv(), encoding="utf-8")
     (report_dir / "summary.txt").write_text(merged.to_text(), encoding="utf-8")
@@ -427,12 +406,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         click.echo(f"usage error: {e}", err=True)
         return 1
-    except DataError as e:
+    except (DataError, OSError) as e:   # by now an OSError is a failed write or mkdir
         click.echo(f"data error: {e}", err=True)
         return 2
-    except ModhateError as e:
-        click.echo(f"internal error: {e}", err=True)
-        return 3
     except Exception as e:  # noqa: BLE001 - last-resort exit-code mapping
         click.echo(f"internal error: {type(e).__name__}: {e}", err=True)
         return 3

@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
-UsageError maps to CLI exit code 1, DataError to 2; anything else escaping
-the CLI is an internal failure (exit 3).
+UsageError maps to CLI exit code 1, DataError and a failed write's OSError to
+2; anything else escaping the CLI is an internal failure (exit 3).
 """
 
 
@@ -120,8 +120,4 @@ class KTooLargeError(UsageError):
 # ---- evaluation / cli ----
 
 class IncompleteResultsError(DataError):
-    pass
-
-
-class IoFailureError(DataError):
     pass

@@ -123,11 +123,15 @@ def build_report(per_algorithm: dict[str, dict[str, ConfusionCounts]]) -> Evalua
 
 
 def parse_report_csv(text: str) -> EvaluationReport:
+    """Inverse of EvaluationReport.to_csv; a malformed row is an IncompleteResultsError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "algorithm,source,precision,recall,f1,accuracy":
         raise IncompleteResultsError("unrecognized report CSV header")
     rows = []
     for ln in lines[1:]:
-        algo, source, p, r, f1, acc = ln.split(",")
-        rows.append(ReportRow(algo, source, float(p), float(r), float(f1), float(acc)))
+        try:
+            algo, source, p, r, f1, acc = ln.split(",")
+            rows.append(ReportRow(algo, source, float(p), float(r), float(f1), float(acc)))
+        except ValueError as e:
+            raise IncompleteResultsError(f"report row {ln!r:.60}: {e}") from e
     return EvaluationReport(rows=tuple(rows))

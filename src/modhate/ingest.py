@@ -10,6 +10,7 @@ File formats handled here:
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ from modhate.errors import (
     BadLabelError,
     BadSplitError,
     CorruptHeaderError,
+    DataError,
     DuplicateIdError,
     EmptyAudioError,
     MissingColumnError,
@@ -84,13 +86,26 @@ def _parse_split(raw: str, line_no: int) -> str:
     raise BadSplitError(line_no, raw)
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read or decoded is an UnreadableFileError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise UnreadableFileError(f"cannot read {what} {path}: {e}") from e
+
+
+def read_json(path: str | Path, what: str):
+    """The document in a UTF-8 JSON file; a file that is not one is a DataError."""
+    try:
+        return json.loads(read_text(path, what))
+    except ValueError as e:
+        raise DataError(f"{what} {path} is not JSON: {e}") from e
+
+
 def parse_manifest(path: str | Path) -> list[ManifestRecord]:
     """Read a manifest CSV into records, in file order."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise UnreadableFileError(f"cannot read manifest {path}: {e}") from e
+    text = read_text(path, "manifest")
     base = path.parent
 
     lines = [

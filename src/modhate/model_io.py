@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from modhate.classifiers.neighbors import KnnParams
 from modhate.classifiers.tree import TreeNode, TreeParams
 from modhate.errors import DataError, UsageError
 from modhate.feature_selection import StandardizationParams
+from modhate.ingest import read_json
 
 FORMAT_TAG = "modhate.model/1"
 
@@ -35,14 +37,28 @@ def _tree_to_dict(node: TreeNode) -> dict:
     return d
 
 
-def _tree_from_dict(d: dict) -> TreeNode:
-    counts = (d["counts"][0], d["counts"][1])
+def _floats(v, *shape) -> np.ndarray:
+    """v as a float64 array of the given shape; None matches any length."""
+    a = np.array(v, dtype=np.float64)
+    if a.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, a.shape)):
+        raise DataError(f"an array of shape {a.shape} where {shape} is expected")
+    return a
+
+
+def _index(v, n: int, low: int = 0) -> int:
+    """v as an int in [low, n)."""
+    i = operator.index(v)
+    if not low <= i < n:
+        raise DataError(f"index {i} is not in [{low}, {n})")
+    return i
+
+
+def _tree_from_dict(d: dict, width: int) -> TreeNode:
+    label, counts = _index(d["label"], 2), (d["counts"][0], d["counts"][1])
     if "feature" not in d:
-        return TreeNode(label=d["label"], counts=counts)
-    return TreeNode(
-        label=d["label"], counts=counts, feature=d["feature"], threshold=d["threshold"],
-        left=_tree_from_dict(d["left"]), right=_tree_from_dict(d["right"]),
-    )
+        return TreeNode(label, counts)
+    return TreeNode(label, counts, _index(d["feature"], width), float(d["threshold"]),
+                    _tree_from_dict(d["left"], width), _tree_from_dict(d["right"], width))
 
 
 def _payload_to_dict(algorithm: str, payload) -> dict:
@@ -67,34 +83,34 @@ def _payload_to_dict(algorithm: str, payload) -> dict:
     raise DataError(f"cannot serialize algorithm {algorithm!r}")
 
 
-def _payload_from_dict(algorithm: str, d: dict):
+def _payload_from_dict(algorithm: str, d: dict, width: int):
+    """The payload of a model whose decision reads `width` columns."""
     if algorithm == "logreg":
-        return LogregParams(weights=np.array(d["weights"], dtype=np.float64),
+        return LogregParams(weights=_floats(d["weights"], width),
                             bias=float(d["bias"]), loss_trace=tuple(d["loss_trace"]))
     if algorithm == "svm":
-        return SvmParams(weights=np.array(d["weights"], dtype=np.float64), bias=float(d["bias"]))
+        return SvmParams(weights=_floats(d["weights"], width), bias=float(d["bias"]))
     if algorithm == "knn":
-        knn = KnnParams(train_x=np.array(d["train_x"], dtype=np.float64),
-                        train_y=np.array(d["train_y"], dtype=np.int64), k=int(d["k"]))
-        x, y = knn.train_x, knn.train_y
-        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-            raise DataError(f"knn train_x of shape {x.shape} does not match train_y of shape {y.shape}")
-        if not (1 <= knn.k <= y.shape[0] and knn.k % 2 == 1):
-            raise DataError(f"knn k={knn.k} is not an odd number in 1..{y.shape[0]}")
-        return knn
+        x = _floats(d["train_x"], None, width)
+        y = _floats(d["train_y"], x.shape[0])
+        k = _index(d["k"], y.shape[0] + 1, 1)
+        if k % 2 == 0 or not np.isin(y, (0, 1)).all():
+            raise DataError(f"knn k={k} is even, or train_y holds a label other than 0 and 1")
+        return KnnParams(train_x=x, train_y=y.astype(np.int64), k=k)
     if algorithm == "nb":
-        return NbParams(log_priors=np.array(d["log_priors"], dtype=np.float64),
-                        means=np.array(d["means"], dtype=np.float64),
-                        variances=np.array(d["variances"], dtype=np.float64))
+        return NbParams(_floats(d["log_priors"], 2), _floats(d["means"], 2, width),
+                        _floats(d["variances"], 2, width))
     if algorithm == "dtree":
-        return TreeParams(root=_tree_from_dict(d["root"]))
+        return TreeParams(root=_tree_from_dict(d["root"], width))
     if algorithm == "rforest":
-        return ForestParams(trees=tuple(_tree_from_dict(t) for t in d["trees"]))
+        return ForestParams(trees=tuple(_tree_from_dict(t, width) for t in d["trees"]))
     if algorithm == "adaboost":
-        return AdaboostParams(
-            stumps=tuple(Stump(**s) for s in d["stumps"]),
-            alphas=tuple(float(a) for a in d["alphas"]),
-        )
+        stumps = tuple(Stump(_index(s["feature"], width, -1), float(s["threshold"]),
+                             _index(s["left_label"], 2), _index(s["right_label"], 2)) for s in d["stumps"])
+        alphas = tuple(float(a) for a in d["alphas"])
+        if len(alphas) != len(stumps):
+            raise DataError(f"{len(stumps)} stumps but {len(alphas)} alphas")
+        return AdaboostParams(stumps=stumps, alphas=alphas)
     raise DataError(f"cannot deserialize algorithm {algorithm!r}")
 
 
@@ -116,24 +132,24 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
-    """Rebuild a model document; a document that does not fit the schema is a DataError."""
+    """Rebuild a model document, its shapes checked; one that does not fit the schema is a DataError."""
     try:
         if doc.get("format") != FORMAT_TAG:
             raise DataError(f"unsupported model format {doc.get('format')!r}")
-        algorithm = doc["algorithm"]
-        std = None
-        if doc["standardization"] is not None:
-            std = StandardizationParams(
-                mean=np.array(doc["standardization"]["mean"], dtype=np.float64),
-                std=np.array(doc["standardization"]["std"], dtype=np.float64),
-            )
+        n_features = operator.index(doc["n_features"])
+        std, selected = doc["standardization"], doc["selected"]
+        if std is not None:
+            std = StandardizationParams(_floats(std["mean"], n_features), _floats(std["std"], n_features))
+        if selected is not None:
+            selected = tuple(_index(i, n_features) for i in selected)
+        width = n_features if selected is None else len(selected)
         return TrainedModel(
-            algorithm=algorithm,
+            algorithm=doc["algorithm"],
             hyperparams=Hyperparams(**doc["hyperparams"]),
-            n_features=int(doc["n_features"]),
-            payload=_payload_from_dict(algorithm, doc["payload"]),
+            n_features=n_features,
+            payload=_payload_from_dict(doc["algorithm"], doc["payload"], width),
             standardization=std,
-            selected=tuple(doc["selected"]) if doc["selected"] is not None else None,
+            selected=selected,
             frontend=doc["frontend"],
         )
     except (KeyError, TypeError, ValueError, AttributeError, UsageError) as e:
@@ -146,8 +162,4 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot load model {path}: {e}") from e
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, "model"))

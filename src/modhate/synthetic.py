@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from modhate.errors import IoFailureError
 from modhate.ingest import ManifestRecord, write_manifest
 
 SAMPLE_RATE = 22050
@@ -169,12 +168,9 @@ def _synth_text(rng: np.random.Generator, label: int, ambiguous: bool) -> str:
 def generate_demo_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) -> Path:
     """Write the corpus under out_dir and return the manifest path."""
     out_dir = Path(out_dir)
-    try:
-        (out_dir / "audio").mkdir(parents=True, exist_ok=True)
-        (out_dir / "frames").mkdir(exist_ok=True)
-        (out_dir / "text").mkdir(exist_ok=True)
-    except OSError as e:
-        raise IoFailureError(f"cannot create corpus directories under {out_dir}: {e}") from e
+    (out_dir / "audio").mkdir(parents=True, exist_ok=True)
+    (out_dir / "frames").mkdir(exist_ok=True)
+    (out_dir / "text").mkdir(exist_ok=True)
 
     labels = _labels(spec)
     n_clip = int(round(spec.clip_seconds * SAMPLE_RATE))

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from modhate.errors import EmptyCorpusError, UnreadableFileError
+from modhate.errors import EmptyCorpusError
+from modhate.ingest import read_text
 
 _TOKEN_SPLIT = re.compile(r"[^a-z]+")
 
@@ -101,10 +102,7 @@ def vectorize(doc: list[str], vocab: Vocabulary, mode: str) -> np.ndarray:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One token per line, UTF-8; blank lines ignored."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise UnreadableFileError(f"cannot read stopword file {path}: {e}") from e
+    lines = read_text(path, "stopword file").splitlines()
     return frozenset(t.strip().lower() for t in lines if t.strip())
 
 

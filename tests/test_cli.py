@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from modhate.classifiers import predict as model_predict
 from modhate.cli import main
@@ -385,3 +387,233 @@ def test_manifest_lacking_feature_ids_is_data_error(workspace, tmp_path, capsys,
     assert main(command + ["--out", str(work), "--manifest", str(manifest)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and any(sid in err for sid in dropped)
+
+
+# ---- each artifact a stage reads has one loader: a malformed one is exit 2 ----
+
+def _edit_file(workspace, tmp_path, rel, edit):
+    """A copy of the nb work directory (with report_nb.csv) whose file `rel` is edited."""
+    work = tmp_path / "edited"
+    shutil.copytree(workspace / "work", work)
+    if rel.startswith("reports/"):
+        assert main(["evaluate", "--out", str(work), "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                     "--algo", "nb"]) == 0
+    path = work / rel
+    path.write_bytes(edit(path.read_bytes()))
+    return work
+
+
+def _non_utf8(raw):
+    return raw[:-2] + b"\xff\n"
+
+
+def _edit_line(i, edit):
+    """Edit the i-th line of a text file."""
+    def apply(raw):
+        lines = raw.decode("utf-8").split("\n")
+        lines[i] = edit(lines[i])
+        return "\n".join(lines).encode("utf-8")
+    return apply
+
+
+def _train_audio(workspace, work):
+    return main(["train", "--out", str(work), "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--algo", "nb", "--modality", "audio"])
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_line(1, lambda ln: ln.split(",")[0]),
+    _non_utf8,
+    _edit_line(1, lambda ln: ln.split(",")[0] + ",validation"),
+    lambda raw: raw + raw.split(b"\n")[1] + b"\n",
+], ids=["one_field_row", "non_utf8_byte", "split_not_train_or_test", "repeated_id"])
+def test_malformed_split_table_is_data_error(workspace, tmp_path, edit):
+    assert _train_audio(workspace, _edit_file(workspace, tmp_path, "features/splits.csv", edit)) == 2
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_line(1, lambda ln: ln.rsplit(",", 1)[0] + ",abc"),
+    _edit_line(1, lambda ln: ln.rsplit(",", 1)[0]),
+    _non_utf8,
+    lambda raw: raw + raw.split(b"\n")[1] + b"\n",
+    _edit_line(1, lambda ln: ln.rsplit(",", 1)[0] + ",1e999"),
+], ids=["non_float_cell", "ragged_row", "non_utf8_byte", "duplicated_row", "non_finite_cell"])
+def test_malformed_feature_table_is_data_error(workspace, tmp_path, edit):
+    assert _train_audio(workspace, _edit_file(workspace, tmp_path, "features/audio.csv", edit)) == 2
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_line(1, lambda ln: ln.rsplit(",", 1)[0]),
+    _edit_line(1, lambda ln: ln.rsplit(",", 1)[0] + ",abc"),
+    _non_utf8,
+], ids=["short_row", "non_float_cell", "non_utf8_byte"])
+def test_malformed_report_is_data_error(workspace, tmp_path, edit):
+    work = _edit_file(workspace, tmp_path, "reports/report_nb.csv", edit)
+    assert main(["report", "--out", str(work)]) == 2
+
+
+@pytest.fixture(scope="module")
+def audio_models(workspace):
+    """A work directory that adds audio models of the algorithms the nb workspace lacks."""
+    work = workspace / "audio_models"
+    shutil.copytree(workspace / "work", work)
+    for algo, extra in (("logreg", ["--iterations", "50"]), ("dtree", []),
+                        ("adaboost", ["--ensemble-size", "3"]), ("knn", ["--k-neighbors", "3"])):
+        assert main(["train", "--out", str(work), "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                     "--algo", algo, "--modality", "audio", *extra]) == 0
+    return work
+
+
+def _set(*path_and_value):
+    """Set one JSON leaf of a model document."""
+    *path, key, value = path_and_value
+
+    def apply(raw):
+        doc = json.loads(raw)
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = value(node[key]) if callable(value) else value
+        return json.dumps(doc).encode()
+    return apply
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("logreg_audio.json", _set("payload", "weights", lambda w: w[:3])),
+    ("nb_audio.json", _set("payload", "log_priors", lambda p: p[:1])),
+    ("dtree_audio.json", _set("payload", "root", "feature", 9999)),
+    ("dtree_audio.json", _set("payload", "root", "feature", "a")),
+    ("adaboost_audio.json", _set("payload", "stumps", 0, "feature", 9999)),
+    ("adaboost_audio.json", _set("payload", "alphas", lambda a: a[:2])),
+    ("nb_audio.json", _set("selected", [0, 9999])),
+    ("nb_audio.json", _set("standardization", "mean", lambda m: m[:3])),
+    ("knn_audio.json", _set("payload", "train_x", lambda x: [row[:3] for row in x])),
+    ("nb_audio.json", _set("hyperparams", "l2", float("nan"))),
+], ids=["logreg_weights_of_3", "nb_one_log_prior", "dtree_feature_9999", "dtree_feature_str",
+        "adaboost_stump_feature_9999", "adaboost_fewer_alphas_than_stumps", "selected_9999",
+        "standardization_of_3", "knn_train_x_width_3", "nan_hyperparameter"])
+def test_inconsistent_model_is_data_error(workspace, audio_models, tmp_path, name, edit):
+    models = tmp_path / "models"
+    shutil.copytree(audio_models / "models", models)
+    (models / name).write_bytes(edit((models / name).read_bytes()))
+    assert main(["evaluate", "--out", str(audio_models), "--manifest",
+                 str(workspace / "corpus" / "manifest.csv"), "--algo", "nb",
+                 "--audio-model", str(models / name), "--mixed"]) == 2
+
+
+@pytest.mark.parametrize("key,value", [("frame_length", 2**50), ("sample_rate", 8000)],
+                         ids=["frame_length_2e50", "sample_rate_8000"])
+def test_predict_audio_frontend_other_than_extracts_is_data_error(workspace, tmp_path, key, value):
+    models = _edit_model(workspace, tmp_path, "nb_audio.json",
+                         _edit_frontend(lambda fe: fe.update({key: value})))
+    assert _predict(workspace / "corpus", models, "s0001") == 2
+
+
+def test_train_rejects_audio_frontend_predict_cannot_use(workspace, tmp_path):
+    def edit(raw):
+        fronts = json.loads(raw)
+        fronts["audio"]["frame_length"] = 2**40
+        return json.dumps(fronts).encode()
+    assert _train_audio(workspace, _edit_file(workspace, tmp_path, "features/frontend.json", edit)) == 2
+
+
+def test_non_finite_learning_rate_is_usage_error(workspace, tmp_path):
+    work = tmp_path / "worknan"
+    shutil.copytree(workspace / "work", work)
+    assert main(["train", "--out", str(work), "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--algo", "logreg", "--modality", "audio", "--learning-rate", "nan"]) == 1
+    assert not (work / "models" / "logreg_audio.json").exists()
+
+
+def test_failed_write_is_data_error(workspace, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    capsys.readouterr()
+    assert main(["extract", "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--out", str(blocker / "work")]) == 2
+    assert main(["gen-demo", "--out", str(blocker / "corpus"), "--count", "5"]) == 2
+    assert capsys.readouterr().err.count("data error") == 2
+
+
+# ---- CLI mutation property: one byte, line or JSON leaf of any artifact ----
+
+# the stages that read each artifact, in pipeline order
+_READERS = {"features": ("train", "evaluate"), "frontend": ("train", "predict"),
+            "models": ("evaluate", "predict"), "reports": ("report",)}
+_LEAF_VALUES = (None, True, 0, -1, 1, 2, 3, 9999, 2**40, 0.5, -1.5, float("nan"), float("inf"),
+                "", "a", "train", [], [0], {})
+
+
+def _readers_of(rel: str):
+    return _READERS["frontend" if rel.endswith("frontend.json") else rel.split("/")[0]]
+
+
+def _leaf_paths(node, prefix=()):
+    if isinstance(node, dict):
+        for k, child in node.items():
+            yield from _leaf_paths(child, prefix + (k,))
+    elif isinstance(node, list) and node:
+        for i, child in enumerate(node):
+            yield from _leaf_paths(child, prefix + (i,))
+    else:
+        yield prefix
+
+
+@pytest.fixture(scope="module")
+def mutation_base(workspace):
+    """(pristine, work, artifacts): the nb work directory plus report_nb.csv, a copy
+    of it to mutate, and the files in it that a stage reads."""
+    pristine, work = workspace / "pristine", workspace / "mutated"
+    shutil.copytree(workspace / "work", pristine)
+    assert main(["evaluate", "--out", str(pristine), "--manifest", str(workspace / "corpus" / "manifest.csv"),
+                 "--algo", "nb"]) == 0
+    shutil.copytree(pristine, work)
+    # vocabulary.csv is written for people; no stage reads it
+    arts = [p for p in sorted(pristine.glob("features/*.csv")) if p.name != "vocabulary.csv"]
+    arts += [pristine / "features" / "frontend.json", *sorted(pristine.glob("models/*.json")),
+             *sorted(pristine.glob("reports/report_*.csv"))]
+    return pristine, work, tuple(p.relative_to(pristine).as_posix() for p in arts)
+
+
+def _mutate(data, rel, raw):
+    kinds = ["byte", "line"] + (["leaf"] if rel.endswith(".json") else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "byte":
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        byte = data.draw(st.sampled_from(b"\xff,\n.-e9a0 ") | st.integers(0, 255), label="byte")
+        return raw[:at] + bytes([byte]) + raw[at + 1:]
+    if kind == "line":
+        lines = raw.split(b"\n")
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        how = data.draw(st.sampled_from(["delete", "duplicate", "truncate"]), label="how")
+        if how == "truncate":
+            lines[i] = lines[i][:data.draw(st.integers(0, max(len(lines[i]) - 1, 0)), label="keep")]
+        else:
+            lines[i:i + 1] = [] if how == "delete" else [lines[i]] * 2
+        return b"\n".join(lines)
+    doc = json.loads(raw)
+    *path, last = data.draw(st.sampled_from(list(_leaf_paths(doc))), label="leaf")
+    node = doc
+    for step in path:
+        node = node[step]
+    node[last] = data.draw(st.sampled_from(_LEAF_VALUES), label="value")
+    return json.dumps(doc).encode()
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_mutated_artifact_is_exit_0_or_2(workspace, mutation_base, data):
+    pristine, work, artifacts = mutation_base
+    for rel in artifacts:   # undo the previous example, retrained models included
+        shutil.copyfile(pristine / rel, work / rel)
+    rel = data.draw(st.sampled_from(artifacts), label="artifact")
+    (work / rel).write_bytes(_mutate(data, rel, (pristine / rel).read_bytes()))
+    corpus = workspace / "corpus"
+    for stage in _readers_of(rel):
+        if stage == "predict":
+            rc = _predict(corpus, work / "models", "s0001")
+        else:
+            rc = main([stage, "--out", str(work)] + (
+                [] if stage == "report" else ["--manifest", str(corpus / "manifest.csv"), "--algo", "nb"]))
+        assert rc in (0, 2), (rel, stage)

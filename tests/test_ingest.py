@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from modhate.errors import (
     BadLabelError,
     BadSplitError,
     CorruptHeaderError,
+    DataError,
     DuplicateIdError,
     EmptyAudioError,
     MissingColumnError,
     NotPgmError,
     NotWavError,
     TooFewSamplesError,
+    UnreadableFileError,
     UnsupportedEncodingError,
 )
 from tests.conftest import write_pgm, write_wav
@@ -27,6 +30,29 @@ def make_manifest(tmp_path, rows, name="manifest.csv"):
     p = tmp_path / name
     p.write_text(HEADER + "\n" + "\n".join(rows) + ("\n" if rows else ""), encoding="utf-8")
     return p
+
+
+class TestReadText:
+    def test_non_utf8_and_missing_files_are_unreadable(self, tmp_path):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("caf\u00e9\n".encode("latin-1"))
+        for path in (bad, tmp_path / "absent.txt", tmp_path):
+            with pytest.raises(UnreadableFileError):
+                ingest.read_text(path, "test file")
+
+    def test_read_json_rejects_non_json(self, tmp_path):
+        p = tmp_path / "a.json"
+        p.write_text("{ not json", encoding="utf-8")
+        with pytest.raises(DataError):
+            ingest.read_json(p, "test file")
+
+    def test_only_utf8_reader_in_the_package(self):
+        # every UTF-8 read goes through read_text, which maps OSError and
+        # UnicodeDecodeError to a DataError in one place
+        package = Path(ingest.__file__).parent
+        readers = sorted(p.relative_to(package).as_posix() for p in package.rglob("*.py")
+                         if ".read_text(encoding=" in p.read_text(encoding="utf-8"))
+        assert readers == ["ingest.py"]
 
 
 class TestParseManifest:

@@ -4,6 +4,8 @@ Every tie anywhere (posterior, vote, zero score, leaf majority) resolves to
 label 0, the non-hate class.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from modhate.classifiers.base import (
@@ -61,7 +63,7 @@ def fit_pipeline(algorithm: str, X_raw, y, hp: Hyperparams | None = None, *,
     if selected is not None:
         Z = Z[:, list(selected)]
     model = train(algorithm, Z, y, hp)
-    return model.with_transform(X_raw.shape[1], params, selected)
+    return replace(model, n_features=X_raw.shape[1], standardization=params, selected=selected)
 
 
 __all__ = [

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -62,12 +62,6 @@ class TrainedModel:
     standardization: StandardizationParams | None = None
     selected: tuple[int, ...] | None = None
     frontend: dict | None = None
-
-    def with_transform(self, n_features_raw: int,
-                       standardization: StandardizationParams | None,
-                       selected: tuple[int, ...] | None) -> "TrainedModel":
-        return replace(self, n_features=n_features_raw,
-                       standardization=standardization, selected=selected)
 
 
 def check_training_matrix(X: np.ndarray, y: np.ndarray, *, require_both_classes: bool) -> None:

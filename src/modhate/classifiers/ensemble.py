@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from modhate.classifiers.base import Hyperparams, TrainedModel, check_training_matrix
-from modhate.classifiers.tree import TreeNode, find_best_split, grow_tree, tree_decide
+from modhate.classifiers.tree import TreeNode, _node_of, find_best_split, grow_tree, tree_decide
 
 EPS_CLAMP = 1e-10
 
@@ -81,19 +81,13 @@ def _fit_stump(X, y, w) -> Stump:
     idx = np.arange(X.shape[0])
     split = find_best_split(X, y, w, idx, np.arange(X.shape[1]))
     if split is None:
-        label, _ = _weighted_majority(y, w)
+        label, _ = _node_of(y, w, idx)
         return Stump(feature=-1, threshold=0.0, left_label=label, right_label=label)
     f, thr = split
     left = X[:, f] <= thr
-    left_label, _ = _weighted_majority(y[left], w[left])
-    right_label, _ = _weighted_majority(y[~left], w[~left])
+    left_label, _ = _node_of(y, w, idx[left])
+    right_label, _ = _node_of(y, w, idx[~left])
     return Stump(feature=f, threshold=thr, left_label=left_label, right_label=right_label)
-
-
-def _weighted_majority(y, w) -> tuple[int, float]:
-    w1 = float(w[y == 1].sum())
-    w0 = float(w[y == 0].sum())
-    return (1 if w1 > w0 else 0), max(w0, w1)
 
 
 def train_adaboost(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> TrainedModel:

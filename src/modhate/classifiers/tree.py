@@ -23,16 +23,6 @@ class TreeNode:
         return self.left is None
 
 
-def gini(counts) -> float:
-    """Gini impurity of a class-mass pair."""
-    total = counts[0] + counts[1]
-    if total <= 0.0:
-        return 0.0
-    p0 = counts[0] / total
-    p1 = counts[1] / total
-    return 1.0 - p0 * p0 - p1 * p1
-
-
 def gini_best_split(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Best threshold for one feature column under weighted Gini impurity.
 

@@ -224,17 +224,10 @@ def cmd_select(out, manifest_path, modality, method, k):
 
     report_dir = out / "reports"
     report_dir.mkdir(exist_ok=True)
+    ranked, rest = ("eliminated", "kept") if method == "rfe" else ("selected", "dropped")
     lines = [f"# modality={modality} method={method} k={k}", "rank,feature_index,feature_name,action"]
-    if method == "rfe":
-        for rank, f in enumerate(result.order, start=1):
-            lines.append(f"{rank},{f},{names[f]},eliminated")
-        for f in result.kept:
-            lines.append(f",{f},{names[f]},kept")
-    else:
-        for rank, f in enumerate(result.order, start=1):
-            lines.append(f"{rank},{f},{names[f]},selected")
-        for f in sorted(set(range(len(names))) - set(result.kept)):
-            lines.append(f",{f},{names[f]},dropped")
+    lines += [f"{rank},{f},{names[f]},{ranked}" for rank, f in enumerate(result.order, start=1)]
+    lines += [f",{f},{names[f]},{rest}" for f in sorted(set(range(len(names))) - set(result.order))]
     path = report_dir / f"selection_{modality}_{method}.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_run_config(out, "select", {"modality": modality, "method": method, "k": k,

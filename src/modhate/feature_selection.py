@@ -3,6 +3,12 @@
 Both selectors operate on standardized train-split matrices and return the
 kept column indices plus the order in which columns were eliminated (RFE)
 or picked (mRMR). Selection is deterministic for fixed inputs.
+
+mRMR bins all columns into MI_BINS equal-width codes at once, then scores
+relevance, and the redundancy of each pick, on the whole (d, n) code matrix
+with one offset bincount per call. The results equal the per-column
+computation bit for bit; tests/test_feature_selection.py keeps that
+computation as the oracle.
 """
 
 from __future__ import annotations
@@ -79,25 +85,35 @@ def rfe_select(X: np.ndarray, y: np.ndarray, k: int) -> SelectionResult:
     return SelectionResult(method="rfe", k=k, kept=tuple(remaining), order=tuple(eliminated))
 
 
-def _bin_codes(col: np.ndarray, n_bins: int) -> np.ndarray:
-    """Equal-width binning over the column's range; constant -> single bin."""
-    lo = col.min()
-    hi = col.max()
-    if hi == lo:
-        return np.zeros(col.shape[0], dtype=np.int64)
-    codes = np.floor((col - lo) / (hi - lo) * n_bins).astype(np.int64)
-    return np.clip(codes, 0, n_bins - 1)
-
-
-def _mi_from_codes(a: np.ndarray, na: int, b: np.ndarray, nb: int) -> float:
-    counts = np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb)
-    n = a.shape[0]
-    p = counts / n
-    pa = p.sum(axis=1, keepdims=True)
-    pb = p.sum(axis=0, keepdims=True)
+def _bin_codes(X: np.ndarray, n_bins: int) -> np.ndarray:
+    """Equal-width binning of every column over its own range; a constant column -> bin 0."""
+    lo = X.min(axis=0)
+    span = X.max(axis=0) - lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p * np.log2(p / (pa * pb))
-    return float(np.nansum(terms))
+        scaled = np.floor((X - lo) / span * n_bins)
+    scaled[:, span == 0.0] = 0.0
+    return np.clip(scaled.astype(np.int64), 0, n_bins - 1)
+
+
+def _mi_rows(a: np.ndarray, na: int, b: np.ndarray, nb: int) -> np.ndarray:
+    """MI in bits of each row of the (d, n) code matrix a against the codes b.
+
+    One offset bincount gives every row's (na, nb) joint counts. Each row's
+    cells stay contiguous, so its nansum adds them in the same pairwise
+    order as a single (na, nb) table would.
+    """
+    d, n = a.shape
+    keys = a * nb
+    keys += b
+    keys += np.arange(0, d * na * nb, na * nb)[:, None]
+    p = np.bincount(keys.ravel(), minlength=d * na * nb).reshape(d, na, nb) / n
+    pa = p.sum(axis=2, keepdims=True)
+    pb = p.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p / (pa * pb)
+        np.log2(terms, out=terms)
+        terms *= p
+    return np.nansum(terms.reshape(d, na * nb), axis=1)
 
 
 def mutual_information(feature_col: np.ndarray, y: np.ndarray, n_bins: int = MI_BINS) -> float:
@@ -106,7 +122,7 @@ def mutual_information(feature_col: np.ndarray, y: np.ndarray, n_bins: int = MI_
     y = np.asarray(y, dtype=np.int64)
     if feature_col.shape[0] < 2:
         raise TooFewSamplesError("mutual information needs at least 2 samples")
-    return _mi_from_codes(_bin_codes(feature_col, n_bins), n_bins, y, 2)
+    return float(_mi_rows(_bin_codes(feature_col[:, None], n_bins).T, n_bins, y, 2)[0])
 
 
 def mrmr_select(X: np.ndarray, y: np.ndarray, k: int, n_bins: int = MI_BINS) -> SelectionResult:
@@ -124,24 +140,19 @@ def mrmr_select(X: np.ndarray, y: np.ndarray, k: int, n_bins: int = MI_BINS) -> 
     if n < 2:
         raise TooFewSamplesError("mRMR needs at least 2 samples")
 
-    codes = np.empty((d, n), dtype=np.int64)
-    for f in range(d):
-        codes[f] = _bin_codes(X[:, f], n_bins)
-    relevance = np.array([_mi_from_codes(codes[f], n_bins, y, 2) for f in range(d)])
+    codes = np.ascontiguousarray(_bin_codes(X, n_bins).T)
+    relevance = _mi_rows(codes, n_bins, y, 2)
 
     selected: list[int] = []
     red_sum = np.zeros(d)
     available = np.ones(d, dtype=bool)
     for _ in range(k):
-        if selected:
-            score = relevance - red_sum / len(selected)
-        else:
-            score = relevance.copy()
+        score = relevance - red_sum / max(len(selected), 1)
         score[~available] = -np.inf
         pick = int(np.argmax(score))   # first max -> lowest index on ties
         selected.append(pick)
         available[pick] = False
         if len(selected) < k:
-            for f in np.nonzero(available)[0]:
-                red_sum[f] += _mi_from_codes(codes[f], n_bins, codes[pick], n_bins)
+            # picked columns gain redundancy too, but their score stays masked
+            red_sum += _mi_rows(codes, n_bins, codes[pick], n_bins)
     return SelectionResult(method="mrmr", k=k, kept=tuple(sorted(selected)), order=tuple(selected))

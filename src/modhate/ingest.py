@@ -214,7 +214,6 @@ def read_wav(path: str | Path) -> AudioClip:
             raise EmptyAudioError(f"{path}: too short to resample")
         positions = np.arange(out_len) * (rate / TARGET_RATE)
         samples = np.interp(positions, np.arange(len(samples)), samples)
-        return AudioClip(samples=samples, sample_rate=TARGET_RATE, source_rate=int(rate))
     return AudioClip(samples=samples, sample_rate=TARGET_RATE, source_rate=int(rate))
 
 

@@ -38,11 +38,18 @@ def _tree_to_dict(node: TreeNode) -> dict:
 
 
 def _floats(v, *shape) -> np.ndarray:
-    """v as a float64 array of the given shape; None matches any length."""
+    """v as a finite float64 array of the given shape; None matches any length."""
     a = np.array(v, dtype=np.float64)
     if a.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, a.shape)):
         raise DataError(f"an array of shape {a.shape} where {shape} is expected")
+    if not np.isfinite(a).all():
+        raise DataError("a stored value is not finite")
     return a
+
+
+def _float(v) -> float:
+    """v as a finite float."""
+    return float(_floats(v))
 
 
 def _index(v, n: int, low: int = 0) -> int:
@@ -57,7 +64,7 @@ def _tree_from_dict(d: dict, width: int) -> TreeNode:
     label, counts = _index(d["label"], 2), (d["counts"][0], d["counts"][1])
     if "feature" not in d:
         return TreeNode(label, counts)
-    return TreeNode(label, counts, _index(d["feature"], width), float(d["threshold"]),
+    return TreeNode(label, counts, _index(d["feature"], width), _float(d["threshold"]),
                     _tree_from_dict(d["left"], width), _tree_from_dict(d["right"], width))
 
 
@@ -86,10 +93,10 @@ def _payload_to_dict(algorithm: str, payload) -> dict:
 def _payload_from_dict(algorithm: str, d: dict, width: int):
     """The payload of a model whose decision reads `width` columns."""
     if algorithm == "logreg":
-        return LogregParams(weights=_floats(d["weights"], width),
-                            bias=float(d["bias"]), loss_trace=tuple(d["loss_trace"]))
+        return LogregParams(weights=_floats(d["weights"], width), bias=_float(d["bias"]),
+                            loss_trace=tuple(_floats(d["loss_trace"], None).tolist()))
     if algorithm == "svm":
-        return SvmParams(weights=_floats(d["weights"], width), bias=float(d["bias"]))
+        return SvmParams(weights=_floats(d["weights"], width), bias=_float(d["bias"]))
     if algorithm == "knn":
         x = _floats(d["train_x"], None, width)
         y = _floats(d["train_y"], x.shape[0])
@@ -98,16 +105,18 @@ def _payload_from_dict(algorithm: str, d: dict, width: int):
             raise DataError(f"knn k={k} is even, or train_y holds a label other than 0 and 1")
         return KnnParams(train_x=x, train_y=y.astype(np.int64), k=k)
     if algorithm == "nb":
-        return NbParams(_floats(d["log_priors"], 2), _floats(d["means"], 2, width),
-                        _floats(d["variances"], 2, width))
+        variances = _floats(d["variances"], 2, width)
+        if not (variances > 0.0).all():
+            raise DataError("nb variances must be positive")
+        return NbParams(_floats(d["log_priors"], 2), _floats(d["means"], 2, width), variances)
     if algorithm == "dtree":
         return TreeParams(root=_tree_from_dict(d["root"], width))
     if algorithm == "rforest":
         return ForestParams(trees=tuple(_tree_from_dict(t, width) for t in d["trees"]))
     if algorithm == "adaboost":
-        stumps = tuple(Stump(_index(s["feature"], width, -1), float(s["threshold"]),
+        stumps = tuple(Stump(_index(s["feature"], width, -1), _float(s["threshold"]),
                              _index(s["left_label"], 2), _index(s["right_label"], 2)) for s in d["stumps"])
-        alphas = tuple(float(a) for a in d["alphas"])
+        alphas = tuple(_float(a) for a in d["alphas"])
         if len(alphas) != len(stumps):
             raise DataError(f"{len(stumps)} stumps but {len(alphas)} alphas")
         return AdaboostParams(stumps=stumps, alphas=alphas)

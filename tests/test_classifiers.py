@@ -5,7 +5,7 @@ from modhate import classifiers as clf
 from modhate.classifiers import Hyperparams, fit_pipeline, predict, train
 from modhate.classifiers.linear import hinge_violations
 from modhate.classifiers.neighbors import pairwise_sq_dists
-from modhate.classifiers.tree import gini, gini_best_split
+from modhate.classifiers.tree import gini_best_split
 from modhate.errors import (
     DimensionMismatchError,
     EvenKError,
@@ -187,10 +187,6 @@ class TestNaiveBayes:
 
 
 class TestDecisionTree:
-    def test_gini_values(self):
-        assert gini((5.0, 0.0)) == 0.0
-        assert gini((5.0, 5.0)) == 0.5
-
     def test_split_clean_separation(self):
         imp, thr, ok = gini_best_split(np.array([0.0, 1.0, 2.0, 3.0]),
                                        np.array([0, 0, 1, 1]), np.ones(4))

@@ -221,6 +221,26 @@ def test_selection_report(workspace, tmp_path):
     assert sum(1 for ln in lines if ln.endswith(",dropped")) == 28
 
 
+def test_rfe_selection_report_layout(workspace, tmp_path):
+    # ranked eliminations first, then the kept columns ascending and unranked
+    corpus = workspace / "corpus"
+    work = tmp_path / "workrfe"
+    shutil.copytree(workspace / "work", work)
+    assert main(["select", "--out", str(work), "--manifest", str(corpus / "manifest.csv"),
+                 "--modality", "audio", "--select", "rfe", "--k", "30"]) == 0
+    _, names, _ = read_feature_csv(work / "features" / "audio.csv")
+    lines = (work / "reports" / "selection_audio_rfe.csv").read_text().splitlines()
+    assert lines[:2] == ["# modality=audio method=rfe k=30", "rank,feature_index,feature_name,action"]
+    rows = [ln.split(",") for ln in lines[2:]]
+    assert len(rows) == 33
+    assert [r[0] for r in rows] == ["1", "2", "3"] + [""] * 30
+    assert [r[3] for r in rows] == ["eliminated"] * 3 + ["kept"] * 30
+    assert all(names[int(r[1])] == r[2] for r in rows)
+    eliminated = [int(r[1]) for r in rows[:3]]
+    kept = [int(r[1]) for r in rows[3:]]
+    assert kept == sorted(set(range(33)) - set(eliminated))
+
+
 @pytest.fixture(scope="module")
 def count_workspace(workspace):
     """extract --text-mode count with a relative stop-word file that is then
@@ -489,9 +509,14 @@ def _set(*path_and_value):
     ("nb_audio.json", _set("standardization", "mean", lambda m: m[:3])),
     ("knn_audio.json", _set("payload", "train_x", lambda x: [row[:3] for row in x])),
     ("nb_audio.json", _set("hyperparams", "l2", float("nan"))),
+    ("nb_audio.json", _set("payload", "variances", 1, lambda v: [-1.0] * len(v))),
+    ("logreg_audio.json", _set("payload", "weights", 0, float("nan"))),
+    ("dtree_audio.json", _set("payload", "root", "threshold", float("nan"))),
+    ("adaboost_audio.json", _set("payload", "alphas", 0, float("inf"))),
 ], ids=["logreg_weights_of_3", "nb_one_log_prior", "dtree_feature_9999", "dtree_feature_str",
         "adaboost_stump_feature_9999", "adaboost_fewer_alphas_than_stumps", "selected_9999",
-        "standardization_of_3", "knn_train_x_width_3", "nan_hyperparameter"])
+        "standardization_of_3", "knn_train_x_width_3", "nan_hyperparameter",
+        "nb_negative_variances", "logreg_nan_weight", "dtree_nan_threshold", "adaboost_infinite_alpha"])
 def test_inconsistent_model_is_data_error(workspace, audio_models, tmp_path, name, edit):
     models = tmp_path / "models"
     shutil.copytree(audio_models / "models", models)

@@ -86,6 +86,68 @@ class TestRfe:
         assert tuple(cols) == res3.kept
 
 
+def bin_codes_oracle(col, n_bins):
+    """The per-column binning that the block `_bin_codes` replaced."""
+    lo = col.min()
+    hi = col.max()
+    if hi == lo:
+        return np.zeros(col.shape[0], dtype=np.int64)
+    codes = np.floor((col - lo) / (hi - lo) * n_bins).astype(np.int64)
+    return np.clip(codes, 0, n_bins - 1)
+
+
+def mi_from_codes_oracle(a, na, b, nb):
+    """The one-table MI that the block `_mi_rows` replaced."""
+    counts = np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb)
+    n = a.shape[0]
+    p = counts / n
+    pa = p.sum(axis=1, keepdims=True)
+    pb = p.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log2(p / (pa * pb))
+    return float(np.nansum(terms))
+
+
+@st.composite
+def code_matrices(draw):
+    """A (n, d) matrix mixing normal, constant, rounded, tied and duplicate columns."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    kinds = draw(st.lists(st.sampled_from(["normal", "constant", "rounded", "tied", "duplicate"]),
+                          min_size=1, max_size=12))
+    scale = 10.0 ** draw(st.integers(min_value=-5, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cols = []
+    for kind in kinds:
+        if kind == "constant":
+            col = np.full(n, rng.normal())
+        elif kind == "rounded":
+            col = np.round(rng.normal(size=n), 1)
+        elif kind == "tied":
+            col = rng.integers(0, 3, size=n).astype(np.float64)
+        elif kind == "duplicate" and cols:
+            col = cols[-1]
+        else:
+            col = rng.normal(size=n)
+        cols.append(col)
+    return np.column_stack(cols) * scale, rng.integers(0, 2, size=n)
+
+
+class TestBlockRoutinesMatchOracle:
+    @given(data=code_matrices(), nb=st.sampled_from([2, 8]))
+    @settings(max_examples=60, deadline=None)
+    def test_bin_codes_and_mi_rows_bitwise(self, data, nb):
+        X, y = data
+        codes = fs._bin_codes(X, fs.MI_BINS)
+        want = np.column_stack([bin_codes_oracle(X[:, f], fs.MI_BINS) for f in range(X.shape[1])])
+        assert codes.dtype == np.int64 and np.array_equal(codes, want)
+
+        rows = np.ascontiguousarray(codes.T)
+        b = y if nb == 2 else rows[-1]
+        got = fs._mi_rows(rows, fs.MI_BINS, b, nb)
+        want = np.array([mi_from_codes_oracle(r, fs.MI_BINS, b, nb) for r in rows])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestMutualInformation:
     def test_constant_feature_zero(self):
         y = np.array([0, 1] * 10)
@@ -100,7 +162,7 @@ class TestMutualInformation:
         a = np.array([0, 0, 1, 2, 2, 2])
         b = np.array([0, 1, 1, 0, 0, 1])
         want = (1 / 6) * np.log2(2) + (2 / 6) * np.log2(4 / 3) + (1 / 6) * np.log2(2 / 3)
-        assert fs._mi_from_codes(a, 3, b, 2) == pytest.approx(want, abs=1e-12)
+        assert fs._mi_rows(a[None], 3, b, 2)[0] == pytest.approx(want, abs=1e-12)
 
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(6)
@@ -164,6 +226,20 @@ class TestMrmr:
         Z, y = planted(10)
         with pytest.raises(BadTargetCountError):
             fs.mrmr_select(Z, y, k=0)
+
+    def test_pinned_order_with_constant_duplicate_and_few_valued_columns(self):
+        rng = np.random.default_rng(20240)
+        X = rng.normal(size=(40, 600))
+        y = (X[:, 0] + 0.7 * X[:, 1] + 0.5 * rng.normal(size=40) > 0).astype(np.int64)
+        X[:, 2] = X[:, 0]                                   # duplicates of the two signal columns
+        X[:, 3] = X[:, 1]
+        X[:, 50:60] = 1.5                                   # constant
+        X[:, 60:160] = rng.integers(0, 3, size=(40, 100))   # few-valued: many tied scores
+        X[:, 160:260] = np.round(X[:, 160:260], 1)
+        X[:, 260:300] = X[:, 300:340] * 1e-5
+        assert list(fs.mrmr_select(X, y, 32).order) == [
+            1, 50, 0, 51, 52, 568, 53, 565, 54, 3, 55, 56, 154, 450, 57, 58,
+            59, 517, 83, 157, 344, 137, 548, 156, 80, 466, 142, 87, 98, 2, 70, 133]
 
 
 def test_mrmr_drops_entropy_family_on_demo_audio(demo_pipeline):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from modhate.classifiers.base import Hyperparams, TrainedModel, check_training_matrix
-from modhate.classifiers.tree import TreeNode, _node_of, find_best_split, grow_tree, tree_decide
+from modhate.classifiers.tree import TreeNode, _node_of, best_split, grow_tree, presort, tree_decide
 
 EPS_CLAMP = 1e-10
 
@@ -28,8 +28,8 @@ def train_rforest(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> TrainedModel
     """Bagged CART trees with per-node random feature subsets.
 
     Tree t uses the stream default_rng([seed, t]); it draws the bootstrap
-    indices first, then node feature subsets in depth-first order, so the
-    forest is reproducible regardless of build parallelism.
+    indices first, then node feature subsets in depth-first order, so a
+    seed fixes the forest.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -77,9 +77,9 @@ class AdaboostParams:
         return (score > 0.0).astype(np.int64)
 
 
-def _fit_stump(X, y, w) -> Stump:
+def _fit_stump(X, order, y, w) -> Stump:
     idx = np.arange(X.shape[0])
-    split = find_best_split(X, y, w, idx, np.arange(X.shape[1]))
+    split = best_split(X, order, y, w)
     if split is None:
         label, _ = _node_of(y, w, idx)
         return Stump(feature=-1, threshold=0.0, left_label=label, right_label=label)
@@ -102,11 +102,12 @@ def train_adaboost(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> TrainedMode
     n = X.shape[0]
     yy = 2.0 * y.astype(np.float64) - 1.0
     w = np.full(n, 1.0 / n)
+    order = presort(X)   # the rounds change only w, so one sort serves all
 
     stumps = []
     alphas = []
     for _ in range(hp.ensemble_size):
-        stump = _fit_stump(X, y, w)
+        stump = _fit_stump(X, order, y, w)
         h = 2.0 * stump.decide(X).astype(np.float64) - 1.0
         eps = float(w[h != yy].sum())
         eps = min(max(eps, EPS_CLAMP), 1.0 - EPS_CLAMP)
@@ -120,5 +121,3 @@ def train_adaboost(X: np.ndarray, y: np.ndarray, hp: Hyperparams) -> TrainedMode
         algorithm="adaboost", hyperparams=hp, n_features=X.shape[1],
         payload=AdaboostParams(stumps=tuple(stumps), alphas=tuple(alphas)),
     )
-
-

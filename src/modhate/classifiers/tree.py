@@ -1,4 +1,14 @@
-"""CART decision tree on Gini impurity, shared by the ensemble trainers."""
+"""CART decision tree on Gini impurity, shared by the ensemble trainers.
+
+Splits come from a presorted block scan (SLIQ's presorting): each column of
+a candidate block is argsorted once, stably, and the scan gathers weights
+and labels in that order, takes the weighted cumsum down each column and the
+Gini of every cut at once. AdaBoost presorts its matrix once for all rounds;
+a CART node presorts its own block. Impurity ties resolve to the lowest
+threshold within a column, then to the lowest column. Every floating-point
+step runs in the order of a per-column scan, so the splits do not depend on
+how the block is chunked.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from modhate.classifiers.base import Hyperparams, TrainedModel, check_training_matrix
+
+SCAN_CELLS = 4096   # cells in each (rows, columns) temporary of the block scan
 
 
 @dataclass(frozen=True)
@@ -23,65 +35,61 @@ class TreeNode:
         return self.left is None
 
 
-def gini_best_split(x: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Best threshold for one feature column under weighted Gini impurity.
+def presort(X: np.ndarray) -> np.ndarray:
+    """Stable column-wise sort order of X, the order best_split expects."""
+    return np.argsort(X, axis=0, kind="stable")
+
+
+def best_split(X: np.ndarray, order: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Lowest weighted child Gini over the columns of X, given order = presort(X).
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values. Returns (impurity, threshold, ok); the lowest threshold wins
-    impurity ties, and ok is False when the column has no distinct pair.
+    values of a column. Impurity ties go to the lowest threshold within a
+    column, then to the lowest column. The block is scanned SCAN_CELLS cells
+    at a time. Returns (column, threshold), or None when no column has a
+    distinct pair with weight on both sides.
     """
-    n = x.shape[0]
+    n, m = X.shape
     if n < 2:
-        return np.inf, 0.0, False
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ws = w[order]
-    ys = y[order]
-    w0 = np.where(ys == 0, ws, 0.0)
-    w1 = np.where(ys == 1, ws, 0.0)
-    c0 = np.cumsum(w0)
-    c1 = np.cumsum(w1)
-    tot0 = c0[n - 1]
-    tot1 = c1[n - 1]
-    total = tot0 + tot1
-
-    # split i puts items [0, i) left; left sums are the cumsums at i-1
-    l0 = c0[:-1]
-    l1 = c1[:-1]
-    wl = l0 + l1
-    r0 = tot0 - l0
-    r1 = tot1 - l1
-    wr = r0 + r1
-    valid = (xs[1:] > xs[:-1]) & (wl > 0.0) & (wr > 0.0)
-    if not valid.any():
-        return np.inf, 0.0, False
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = l0 / wl
-        b = l1 / wl
-        gl = 1.0 - a * a - b * b
-        a = r0 / wr
-        b = r1 / wr
-        gr = 1.0 - a * a - b * b
-        imp = (wl * gl + wr * gr) / total
-    imp = np.where(valid, imp, np.inf)
-    best = int(np.argmin(imp))
-    thr = (xs[best] + xs[best + 1]) * 0.5
-    return float(imp[best]), float(thr), True
-
-
-def find_best_split(X, y, w, idx, feature_ids):
-    """Lowest weighted child Gini over candidate features.
-
-    Ties resolve to the lowest feature index (scan order) and lowest
-    threshold (inside the column scan). Returns (feature, threshold) or None.
-    """
+        return None
+    step = max(1, SCAN_CELLS // n)
     best_imp = np.inf
     best = None
-    for f in feature_ids:
-        imp, thr, ok = gini_best_split(X[idx, f], y[idx], w[idx])
-        if ok and imp < best_imp:
-            best_imp = imp
-            best = (int(f), float(thr))
+    for start in range(0, m, step):
+        o = order[:, start:start + step]
+        xs = np.take_along_axis(X[:, start:start + step], o, axis=0)
+        ws = w[o]
+        ys = y[o]
+        c0 = np.cumsum(np.where(ys == 0, ws, 0.0), axis=0)
+        c1 = np.cumsum(np.where(ys == 1, ws, 0.0), axis=0)
+        tot0 = c0[n - 1]
+        tot1 = c1[n - 1]
+        total = tot0 + tot1
+
+        # split i puts items [0, i) left; left sums are the cumsums at i-1
+        l0 = c0[:-1]
+        l1 = c1[:-1]
+        wl = l0 + l1
+        r0 = tot0 - l0
+        r1 = tot1 - l1
+        wr = r0 + r1
+        valid = (xs[1:] > xs[:-1]) & (wl > 0.0) & (wr > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = l0 / wl
+            b = l1 / wl
+            gl = 1.0 - a * a - b * b
+            a = r0 / wr
+            b = r1 / wr
+            gr = 1.0 - a * a - b * b
+            imp = (wl * gl + wr * gr) / total
+        imp = np.where(valid, imp, np.inf)
+        col_imp = imp.min(axis=0)
+        j = int(np.argmin(col_imp))
+        # strict: an equal impurity in a later chunk is a higher column
+        if col_imp[j] < best_imp:
+            best_imp = col_imp[j]
+            i = int(np.argmin(imp[:, j]))
+            best = (start + j, float((xs[i, j] + xs[i + 1, j]) * 0.5))
     return best
 
 
@@ -91,6 +99,16 @@ def _node_of(y, w, idx) -> tuple[int, tuple[float, float]]:
     w0 = float(weights[labels == 0].sum())
     w1 = float(weights[labels == 1].sum())
     return (1 if w1 > w0 else 0), (w0, w1)
+
+
+def _node_split(X, y, w, idx, feature_ids):
+    """best_split over the node's candidate block, as (feature, threshold) or None."""
+    block = X[np.ix_(idx, feature_ids)]
+    split = best_split(block, presort(block), y[idx], w[idx])
+    if split is None:
+        return None
+    j, thr = split
+    return int(feature_ids[j]), thr
 
 
 def grow_tree(X, y, w, idx, depth, hp: Hyperparams, rng: np.random.Generator | None = None,
@@ -111,7 +129,7 @@ def grow_tree(X, y, w, idx, depth, hp: Hyperparams, rng: np.random.Generator | N
         feature_ids = np.sort(rng.choice(d, size=n_candidates, replace=False))
     else:
         feature_ids = np.arange(d)
-    split = find_best_split(X, y, w, idx, feature_ids)
+    split = _node_split(X, y, w, idx, feature_ids)
     if split is None:
         return TreeNode(label=label, counts=counts)
     f, thr = split

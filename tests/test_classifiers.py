@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modhate import classifiers as clf
 from modhate.classifiers import Hyperparams, fit_pipeline, predict, train
 from modhate.classifiers.linear import hinge_violations
 from modhate.classifiers.neighbors import pairwise_sq_dists
-from modhate.classifiers.tree import gini_best_split
+from modhate.classifiers.tree import SCAN_CELLS, best_split, presort
+from modhate.model_io import save_model
 from modhate.errors import (
     DimensionMismatchError,
     EvenKError,
@@ -27,6 +32,70 @@ def blobs(n=200, d=5, seed=0):
 
 def hp(algo, **kw):
     return Hyperparams(algorithm=algo, **kw)
+
+
+def gini_best_split(x, y, w):
+    """Oracle: best threshold for one column under weighted Gini impurity.
+
+    The per-column scan that best_split replaced. Returns (impurity,
+    threshold, ok); the lowest threshold wins impurity ties, and ok is False
+    when the column has no distinct pair.
+    """
+    n = x.shape[0]
+    if n < 2:
+        return np.inf, 0.0, False
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    ws = w[order]
+    ys = y[order]
+    w0 = np.where(ys == 0, ws, 0.0)
+    w1 = np.where(ys == 1, ws, 0.0)
+    c0 = np.cumsum(w0)
+    c1 = np.cumsum(w1)
+    tot0 = c0[n - 1]
+    tot1 = c1[n - 1]
+    total = tot0 + tot1
+    l0 = c0[:-1]
+    l1 = c1[:-1]
+    wl = l0 + l1
+    r0 = tot0 - l0
+    r1 = tot1 - l1
+    wr = r0 + r1
+    valid = (xs[1:] > xs[:-1]) & (wl > 0.0) & (wr > 0.0)
+    if not valid.any():
+        return np.inf, 0.0, False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = l0 / wl
+        b = l1 / wl
+        gl = 1.0 - a * a - b * b
+        a = r0 / wr
+        b = r1 / wr
+        gr = 1.0 - a * a - b * b
+        imp = (wl * gl + wr * gr) / total
+    imp = np.where(valid, imp, np.inf)
+    best = int(np.argmin(imp))
+    thr = (xs[best] + xs[best + 1]) * 0.5
+    return float(imp[best]), float(thr), True
+
+
+def find_best_split(X, y, w):
+    """Oracle: lowest Gini over the columns of X, one column at a time.
+
+    Ties resolve to the lowest column (scan order) and lowest threshold
+    (inside the column scan). Returns (column, threshold) or None.
+    """
+    best_imp = np.inf
+    best = None
+    for f in range(X.shape[1]):
+        imp, thr, ok = gini_best_split(X[:, f], y, w)
+        if ok and imp < best_imp:
+            best_imp = imp
+            best = (f, thr)
+    return best
+
+
+def block_split(X, y, w):
+    return best_split(X, presort(X), y, w)
 
 
 class TestHyperparams:
@@ -188,24 +257,22 @@ class TestNaiveBayes:
 
 class TestDecisionTree:
     def test_split_clean_separation(self):
-        imp, thr, ok = gini_best_split(np.array([0.0, 1.0, 2.0, 3.0]),
-                                       np.array([0, 0, 1, 1]), np.ones(4))
-        assert ok and thr == 1.5 and imp == 0.0
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        y = np.array([0, 0, 1, 1])
+        assert block_split(x.reshape(-1, 1), y, np.ones(4)) == (0, 1.5)
+        assert gini_best_split(x, y, np.ones(4)) == (0.0, 1.5, True)
 
     def test_split_constant_column_invalid(self):
-        _, _, ok = gini_best_split(np.ones(5), np.array([0, 1, 0, 1, 0]), np.ones(5))
-        assert not ok
+        assert block_split(np.ones((5, 1)), np.array([0, 1, 0, 1, 0]), np.ones(5)) is None
 
     def test_split_tie_resolves_to_lowest_threshold(self):
         # two equally good cuts; the scan must return the lower midpoint
-        _, thr, ok = gini_best_split(np.array([0.0, 1.0, 2.0, 3.0]),
-                                     np.array([0, 1, 0, 1]), np.ones(4))
-        assert ok and thr == 0.5
+        assert block_split(np.array([[0.0], [1.0], [2.0], [3.0]]),
+                           np.array([0, 1, 0, 1]), np.ones(4)) == (0, 0.5)
 
     def test_split_weighted(self):
-        _, thr, ok = gini_best_split(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 1, 1, 1]),
-                                     np.array([10.0, 1.0, 1.0, 1.0]))
-        assert ok and thr == 0.5
+        assert block_split(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 1, 1]),
+                           np.array([10.0, 1.0, 1.0, 1.0])) == (0, 0.5)
 
     def test_1d_threshold_recovery(self):
         rng = np.random.default_rng(9)
@@ -233,6 +300,111 @@ class TestDecisionTree:
                 walk(node.left)
                 walk(node.right)
         walk(m.payload.root)
+
+
+@st.composite
+def split_blocks(draw):
+    """Blocks that cross at least two scan-chunk boundaries, full of ties.
+
+    Column a has an equal twin b in a later chunk; with labels that follow
+    a, the two tie for the best cut and the lower column must win.
+    """
+    n = draw(st.integers(1, 60))
+    step = max(1, SCAN_CELLS // n)
+    d = 2 * step + draw(st.integers(1, step))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.round(rng.normal(size=(n, d)), draw(st.sampled_from([0, 1])))
+    const = rng.choice(d, size=draw(st.integers(0, 5)), replace=False)
+    X[:, const] = np.round(rng.normal(size=const.shape[0]), 1)
+    a = int(rng.integers(0, step))
+    X[:, rng.integers(step, d)] = X[:, a]
+    labels = draw(st.sampled_from(["from_a", "random", "one_class"]))
+    if labels == "from_a":
+        y = (X[:, a] + rng.normal(0.0, 0.3, size=n) > 0)
+    elif labels == "random":
+        y = rng.integers(0, 2, size=n)
+    else:
+        y = np.full(n, int(rng.integers(0, 2)))
+    weights = draw(st.sampled_from(["uneven", "tenths", "some_zero", "ones"]))
+    if weights == "ones":
+        w = np.ones(n)
+    elif weights == "uneven":
+        w = rng.exponential(size=n)
+    else:
+        w = rng.integers(1, 4, size=n) / 10.0   # their sums depend on the order
+        if weights == "some_zero":
+            w[rng.random(n) < 0.4] = 0.0
+    return X, y.astype(np.int64), w
+
+
+class TestBlockSplit:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(split_blocks())
+    def test_matches_per_column_oracle(self, block):
+        X, y, w = block
+        # the scan sums each column in the oracle's order only if the
+        # presort keeps tied rows in row order, as a per-column stable sort
+        oracle_order = np.stack([np.argsort(x, kind="stable") for x in X.T], axis=1)
+        assert np.array_equal(presort(X), oracle_order)
+        assert block_split(X, y, w) == find_best_split(X, y, w)
+
+
+WIDE_SHA256 = {
+    ("dtree", 1): "d047596da963fd1154570dcd9798639cb90d4dcfb1dc549294911b5944067066",
+    ("rforest", 1): "63cd947d95f67fc390520d58b25537fc1a890987d2cb98825fabe7464da702e8",
+    ("rforest", 15): "b9b652e14fa04c796e343b21104b327e3a3e206d4824163989c3be3d8f82e1ce",
+    ("adaboost", 1): "84bb834111ba5382c811e800bedc36c80ea635f9eaf7f3750bd46c9046fe10ba",
+    ("adaboost", 15): "93f3ba1b687826252b9698c3e44d6bdadcafc13d87a8de83b33ce695aa1d0d17",
+}
+
+
+def wide_data():
+    """(60, 700) with ties; column 650 repeats column 3, several scan chunks later."""
+    rng = np.random.default_rng(20231018)
+    X = np.round(rng.normal(size=(60, 700)), 1)
+    X[:, 650] = X[:, 3]
+    y = (X[:, 3] - 0.4 * X[:, 420] + rng.normal(0.0, 0.5, size=60) > 0).astype(np.int64)
+    return X, y
+
+
+@pytest.mark.parametrize("algo,size", sorted(WIDE_SHA256))
+def test_wide_tree_model_bytes(algo, size, tmp_path):
+    X, y = wide_data()
+    path = tmp_path / f"{algo}.json"
+    save_model(fit_pipeline(algo, X, y, hp(algo, max_depth=5, seed=7, ensemble_size=size)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_SHA256[algo, size]
+
+
+class TestDegenerateTreeInputs:
+    CASES = {
+        "single_row": (np.array([[0.3, -1.0, 2.0]]), np.array([1])),
+        "single_class": (np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 4.0]]), np.array([0, 0, 0])),
+        "constant_columns": (np.tile([0.5, -2.0, 7.0], (6, 1)), np.array([0, 1, 0, 1, 1, 0])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_dtree_and_rforest_stop_at_a_leaf_root(self, case):
+        X, y = self.CASES[case]
+        root = train("dtree", X, y).payload.root
+        assert root.is_leaf and root.feature == -1
+        assert root.counts == (float((y == 0).sum()), float((y == 1).sum()))
+        for tree in train("rforest", X, y, hp("rforest", ensemble_size=4)).payload.trees:
+            assert tree.is_leaf and tree.feature == -1
+
+    def test_adaboost_single_row_constant_stumps(self):
+        m = train("adaboost", *self.CASES["single_row"], hp("adaboost", ensemble_size=3))
+        assert m.payload.stumps == (clf.ensemble.Stump(-1, 0.0, 1, 1),) * 3
+        assert m.payload.alphas == (0.5 * np.log((1.0 - 1e-10) / 1e-10),) * 3
+
+    def test_adaboost_single_class_splits_with_one_label(self):
+        # every cut is pure, so the lowest threshold of column 0 wins
+        m = train("adaboost", *self.CASES["single_class"], hp("adaboost", ensemble_size=3))
+        assert m.payload.stumps == (clf.ensemble.Stump(0, 0.5, 0, 0),) * 3
+
+    def test_adaboost_constant_columns_zero_alpha(self):
+        m = train("adaboost", *self.CASES["constant_columns"], hp("adaboost", ensemble_size=3))
+        assert m.payload.stumps == (clf.ensemble.Stump(-1, 0.0, 0, 0),) * 3
+        assert m.payload.alphas == (0.0,) * 3
 
 
 class TestRandomForest:

@@ -1,8 +1,11 @@
 """Short-term audio analysis: framing plus time- and frequency-domain features.
 
-A clip is cut into frames of 512 samples advanced by a hop of 256; every
-feature below is computed per frame and the clip-level vector is the mean
-across frames, in the fixed 33-value layout of AUDIO_FEATURE_NAMES:
+The analysis is fixed: read_wav resamples every clip to TARGET_RATE
+(22050 Hz), and a clip is cut into frames of FRAME_LENGTH = 512 samples
+advanced by a hop of HOP_LENGTH = 256. AUDIO_FRONTEND records that one
+frontend in features/frontend.json and in each audio model. Every feature
+below is computed per frame and the clip-level vector is the mean across
+frames, in the fixed 33-value layout of AUDIO_FEATURE_NAMES:
 
     energy, zcr, energy_entropy, centroid_hz, spread_hz, spectral_entropy,
     flux, rolloff_hz, mfcc_00..mfcc_12, chroma_00..chroma_11
@@ -12,26 +15,22 @@ magnitude spectrum of the Hann-windowed frame.
 
 The per-frame functions (`energy` ... `chroma_vector`) define each feature
 and are the reference. `extract_audio_features` computes the same features
-on the whole (n_frames, frame_length) block at once, in the same summation
+on the whole (n_frames, FRAME_LENGTH) block at once, in the same summation
 order, so its result equals the per-frame loop bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from modhate.errors import (
-    BadFractionError,
-    BadSubframeCountError,
-    LengthMismatchError,
-    UsageError,
-)
-from modhate.ingest import AudioClip
+from modhate.errors import BadFractionError, BadSubframeCountError, LengthMismatchError
+from modhate.ingest import TARGET_RATE, AudioClip
 
+FRAME_LENGTH = 512
+HOP_LENGTH = 256
 LOG_FLOOR = 1e-10
 N_MFCC_FILTERS = 26
 N_MFCC_COEFFS = 13
@@ -49,18 +48,9 @@ AUDIO_FEATURE_NAMES = (
 )
 N_AUDIO_FEATURES = len(AUDIO_FEATURE_NAMES)   # 33
 
-
-@dataclass(frozen=True)
-class FrameConfig:
-    frame_length: int = 512
-    hop_length: int = 256
-    sample_rate: int = 22050
-
-    def __post_init__(self):
-        if not (0 < self.hop_length <= self.frame_length):
-            raise UsageError(
-                f"need 0 < hop ({self.hop_length}) <= frame length ({self.frame_length})"
-            )
+# written to features/frontend.json and copied into every audio model
+AUDIO_FRONTEND = {"kind": "audio", "frame_length": FRAME_LENGTH,
+                  "hop_length": HOP_LENGTH, "sample_rate": TARGET_RATE}
 
 
 class Spectrum(NamedTuple):
@@ -69,19 +59,19 @@ class Spectrum(NamedTuple):
     mags: np.ndarray
 
 
-def frame_signal(clip: AudioClip, cfg: FrameConfig) -> np.ndarray:
+def frame_signal(clip: AudioClip) -> np.ndarray:
     """Cut the clip into overlapping frames, zero-padding the tail.
 
-    Frame i covers samples [i*hop, i*hop + frame_length); the frame count is
-    ceil(max(n - frame_length, 0) / hop) + 1. Returns (n_frames, frame_length).
+    Frame i covers samples [i*HOP_LENGTH, i*HOP_LENGTH + FRAME_LENGTH); the
+    frame count is ceil(max(n - FRAME_LENGTH, 0) / HOP_LENGTH) + 1. Returns
+    (n_frames, FRAME_LENGTH).
     """
     x = np.asarray(clip.samples, dtype=np.float64)
     n = x.shape[0]
-    wl, hop = cfg.frame_length, cfg.hop_length
-    count = int(np.ceil(max(n - wl, 0) / hop)) + 1
-    padded = np.zeros((count - 1) * hop + wl, dtype=np.float64)
+    count = int(np.ceil(max(n - FRAME_LENGTH, 0) / HOP_LENGTH)) + 1
+    padded = np.zeros((count - 1) * HOP_LENGTH + FRAME_LENGTH, dtype=np.float64)
     padded[:n] = x
-    return np.lib.stride_tricks.sliding_window_view(padded, wl)[::hop].copy()
+    return np.lib.stride_tricks.sliding_window_view(padded, FRAME_LENGTH)[::HOP_LENGTH].copy()
 
 
 def energy(frame: np.ndarray) -> float:
@@ -117,7 +107,7 @@ def energy_entropy(frame: np.ndarray, n_sub: int = ENERGY_ENTROPY_SUBFRAMES) -> 
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def magnitude_spectrum(frame: np.ndarray, sample_rate: int = 22050) -> Spectrum:
+def magnitude_spectrum(frame: np.ndarray, sample_rate: int = TARGET_RATE) -> Spectrum:
     """Magnitudes of the real DFT, bins 0..len(frame)//2."""
     frame = np.asarray(frame, dtype=np.float64)
     mags = np.abs(np.fft.rfft(frame))
@@ -269,7 +259,7 @@ def _hann(n: int) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """Constants of one (frame_length, sample_rate), shared by every clip."""
+    """Constants of the one frontend, shared by every clip."""
     window: np.ndarray
     freqs: np.ndarray
     mel_bank: np.ndarray
@@ -279,13 +269,13 @@ class _Plan(NamedTuple):
     chroma_bins: tuple[np.ndarray, ...]   # spectrum bins of each pitch class, C=0
 
 
-@functools.lru_cache(maxsize=8)
-def _plan(frame_length: int, sample_rate: int) -> _Plan:
-    freqs = np.fft.rfftfreq(frame_length, 1.0 / sample_rate)
+@functools.cache
+def _plan() -> _Plan:
+    freqs = np.fft.rfftfreq(FRAME_LENGTH, 1.0 / TARGET_RATE)
     length = freqs.shape[0]
     bins = np.flatnonzero(freqs >= CHROMA_MIN_HZ)
     classes = _pitch_classes(freqs[bins])
-    plan = _Plan(_hann(frame_length), freqs, _mel_filterbank(N_MFCC_FILTERS, freqs),
+    plan = _Plan(_hann(FRAME_LENGTH), freqs, _mel_filterbank(N_MFCC_FILTERS, freqs),
                  *_dct2_basis(N_MFCC_FILTERS, N_MFCC_COEFFS),
                  tuple(length * j // SPECTRAL_ENTROPY_BANDS for j in range(SPECTRAL_ENTROPY_BANDS + 1)),
                  tuple(bins[classes == c] for c in range(N_CHROMA)))
@@ -313,18 +303,14 @@ def _entropy_rows(e: np.ndarray) -> np.ndarray:
     return out
 
 
-def extract_audio_features(clip: AudioClip, cfg: FrameConfig | None = None) -> np.ndarray:
+def extract_audio_features(clip: AudioClip) -> np.ndarray:
     """Per-frame features averaged into the fixed 33-value clip vector.
 
     Every feature is computed on the whole frame block; the result equals,
     bit for bit, applying the per-frame functions to each frame in turn.
     """
-    cfg = cfg or FrameConfig()
-    wl = cfg.frame_length
-    if wl % ENERGY_ENTROPY_SUBFRAMES != 0:
-        raise BadSubframeCountError(f"{ENERGY_ENTROPY_SUBFRAMES} sub-frames do not divide length {wl}")
-    plan = _plan(wl, cfg.sample_rate)
-    frames = frame_signal(clip, cfg)
+    plan = _plan()
+    frames = frame_signal(clip)
     n = frames.shape[0]
     mags = np.abs(np.fft.rfft(frames * plan.window, axis=1))
     power = mags * mags
@@ -332,9 +318,9 @@ def extract_audio_features(clip: AudioClip, cfg: FrameConfig | None = None) -> n
     live = total != 0.0
 
     rows = np.empty((n, N_AUDIO_FEATURES))
-    rows[:, 0] = (frames * frames).sum(axis=1) / wl
+    rows[:, 0] = (frames * frames).sum(axis=1) / FRAME_LENGTH
     signs = np.where(frames >= 0.0, 1, -1)
-    rows[:, 1] = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1) / wl
+    rows[:, 1] = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1) / FRAME_LENGTH
     sub = frames.reshape(n, ENERGY_ENTROPY_SUBFRAMES, -1)
     rows[:, 2] = _entropy_rows((sub * sub).sum(axis=2))
 

@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from modhate import tables
-from modhate.audio_features import AUDIO_FEATURE_NAMES, FrameConfig, extract_audio_features
+from modhate.audio_features import AUDIO_FEATURE_NAMES, AUDIO_FRONTEND, extract_audio_features
 from modhate.classifiers import ALGORITHM_TAGS, Hyperparams, fit_pipeline
 from modhate.classifiers import predict as model_predict
 from modhate.errors import (
@@ -60,8 +60,6 @@ from modhate.text_features import (
 from modhate import feature_selection as fs
 
 MODALITIES = ("image", "audio", "text")
-# read_wav resamples every clip to 22050 Hz, so this is the one audio frontend
-AUDIO_FRONTEND = {"kind": "audio", **dataclasses.asdict(FrameConfig())}
 
 
 def _tokens(front: dict, path: Path) -> list[str]:
@@ -82,16 +80,20 @@ def _featurizer(modality: str, front):
     if modality == "audio":
         if front != AUDIO_FRONTEND:
             raise DataError(f"audio frontend {front!r:.80} is not {AUDIO_FRONTEND}, the one extract writes")
-        return lambda path: extract_audio_features(read_wav(path), FrameConfig())
+        return lambda path: extract_audio_features(read_wav(path))
     if modality == "image":
         return extract_image_features
     try:
-        mode, table = front["mode"], front["vocabulary"]
+        mode, table, n_docs = front["mode"], front["vocabulary"], front["n_docs"]
         if mode not in ("count", "tfidf") or not all(isinstance(t, str) for t in front["stopwords"]):
             raise ValueError(f"text mode {mode!r} or a stop-word is not valid")
+        doc_freq = {t: df for t, (_, df) in table.items()}
+        # JSON ints (not bools) with 1 <= df <= n_docs keep every idf ln(n_docs/df) finite
+        if type(n_docs) is not int or n_docs < 1 or not all(
+                type(df) is int and 1 <= df <= n_docs for df in doc_freq.values()):
+            raise ValueError(f"n_docs {n_docs!r:.20} is not a positive int, or a doc_freq is not in 1..n_docs")
         vocab = Vocabulary(index={t: operator.index(i) for t, (i, _) in table.items()},
-                           doc_freq={t: df for t, (_, df) in table.items()},
-                           n_docs=front["n_docs"])
+                           doc_freq=doc_freq, n_docs=n_docs)
         if sorted(vocab.index.values()) != list(range(len(vocab))):
             raise ValueError("vocabulary columns are not 0..|V|-1")
     except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as e:
@@ -219,7 +221,7 @@ def cmd_select(out, manifest_path, modality, method, k):
     ids, names, X, split = _load_stage(out, modality)
     _, Xtr, ytr = _train_matrix(ids, X, split, records)
     k = k if k is not None else _default_k(modality, X.shape[1])
-    _, Ztr, _ = fs.standardize_fit_apply(Xtr)
+    Ztr = fs.standardize_apply(fs.standardize_fit(Xtr), Xtr)
     result = fs.rfe_select(Ztr, ytr, k) if method == "rfe" else fs.mrmr_select(Ztr, ytr, k)
 
     report_dir = out / "reports"

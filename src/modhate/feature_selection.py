@@ -49,14 +49,6 @@ def standardize_apply(params: StandardizationParams, X: np.ndarray) -> np.ndarra
     return (X - params.mean) / denom
 
 
-def standardize_fit_apply(train_X: np.ndarray, other_X: np.ndarray | None = None):
-    """Fit on train only, transform train and (optionally) another matrix."""
-    params = standardize_fit(train_X)
-    train_Z = standardize_apply(params, train_X)
-    other_Z = standardize_apply(params, other_X) if other_X is not None else None
-    return params, train_Z, other_Z
-
-
 def rfe_select(X: np.ndarray, y: np.ndarray, k: int) -> SelectionResult:
     """Recursive feature elimination wrapped around L2 logistic regression.
 
@@ -85,14 +77,15 @@ def rfe_select(X: np.ndarray, y: np.ndarray, k: int) -> SelectionResult:
     return SelectionResult(method="rfe", k=k, kept=tuple(remaining), order=tuple(eliminated))
 
 
-def _bin_codes(X: np.ndarray, n_bins: int) -> np.ndarray:
-    """Equal-width binning of every column over its own range; a constant column -> bin 0."""
+def _bin_codes(X: np.ndarray) -> np.ndarray:
+    """Equal-width binning of every column over its own range into MI_BINS codes;
+    a constant column -> bin 0."""
     lo = X.min(axis=0)
     span = X.max(axis=0) - lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.floor((X - lo) / span * n_bins)
+        scaled = np.floor((X - lo) / span * MI_BINS)
     scaled[:, span == 0.0] = 0.0
-    return np.clip(scaled.astype(np.int64), 0, n_bins - 1)
+    return np.clip(scaled.astype(np.int64), 0, MI_BINS - 1)
 
 
 def _mi_rows(a: np.ndarray, na: int, b: np.ndarray, nb: int) -> np.ndarray:
@@ -116,21 +109,23 @@ def _mi_rows(a: np.ndarray, na: int, b: np.ndarray, nb: int) -> np.ndarray:
     return np.nansum(terms.reshape(d, na * nb), axis=1)
 
 
-def mutual_information(feature_col: np.ndarray, y: np.ndarray, n_bins: int = MI_BINS) -> float:
+def mutual_information(feature_col: np.ndarray, y: np.ndarray) -> float:
     """MI in bits between an equal-width-binned feature and binary labels."""
     feature_col = np.asarray(feature_col, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if feature_col.shape[0] < 2:
         raise TooFewSamplesError("mutual information needs at least 2 samples")
-    return float(_mi_rows(_bin_codes(feature_col[:, None], n_bins).T, n_bins, y, 2)[0])
+    return float(_mi_rows(_bin_codes(feature_col[:, None]).T, MI_BINS, y, 2)[0])
 
 
-def mrmr_select(X: np.ndarray, y: np.ndarray, k: int, n_bins: int = MI_BINS) -> SelectionResult:
+def mrmr_select(X: np.ndarray, y: np.ndarray, k: int) -> SelectionResult:
     """Greedy minimum-redundancy-maximum-relevance (difference form).
 
     First picks argmax MI(f; y), then repeatedly argmax of
     MI(f; y) - mean_{s in selected} MI(f; s); ties resolve to the lowest
-    column index.
+    column index. A constant column is picked only once no other is left:
+    it scores 0 - 0, which would beat every informative column whose mean
+    redundancy exceeds its relevance.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -140,13 +135,16 @@ def mrmr_select(X: np.ndarray, y: np.ndarray, k: int, n_bins: int = MI_BINS) -> 
     if n < 2:
         raise TooFewSamplesError("mRMR needs at least 2 samples")
 
-    codes = np.ascontiguousarray(_bin_codes(X, n_bins).T)
-    relevance = _mi_rows(codes, n_bins, y, 2)
+    codes = np.ascontiguousarray(_bin_codes(X).T)
+    relevance = _mi_rows(codes, MI_BINS, y, 2)
+    constant = X.min(axis=0) == X.max(axis=0)
 
     selected: list[int] = []
     red_sum = np.zeros(d)
-    available = np.ones(d, dtype=bool)
+    available = ~constant
     for _ in range(k):
+        if not available.any():
+            available = constant.copy()   # only constant columns are left
         score = relevance - red_sum / max(len(selected), 1)
         score[~available] = -np.inf
         pick = int(np.argmax(score))   # first max -> lowest index on ties
@@ -154,5 +152,5 @@ def mrmr_select(X: np.ndarray, y: np.ndarray, k: int, n_bins: int = MI_BINS) -> 
         available[pick] = False
         if len(selected) < k:
             # picked columns gain redundancy too, but their score stays masked
-            red_sum += _mi_rows(codes, n_bins, codes[pick], n_bins)
+            red_sum += _mi_rows(codes, MI_BINS, codes[pick], MI_BINS)
     return SelectionResult(method="mrmr", k=k, kept=tuple(sorted(selected)), order=tuple(selected))

@@ -52,9 +52,7 @@ class ManifestRecord:
 
 @dataclass(frozen=True)
 class AudioClip:
-    samples: np.ndarray        # float64 amplitudes in [-1, 1]
-    sample_rate: int = TARGET_RATE
-    source_rate: int = TARGET_RATE   # provenance: rate before resampling
+    samples: np.ndarray        # float64 amplitudes in [-1, 1] at TARGET_RATE
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,11 @@ def read_text(path: str | Path, what: str) -> str:
 
 
 def read_json(path: str | Path, what: str):
-    """The document in a UTF-8 JSON file; a file that is not one is a DataError."""
+    """The document in a UTF-8 JSON file; a file that is not one, or one nested
+    past the recursion limit, is a DataError."""
     try:
         return json.loads(read_text(path, what))
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise DataError(f"{what} {path} is not JSON: {e}") from e
 
 
@@ -214,7 +213,7 @@ def read_wav(path: str | Path) -> AudioClip:
             raise EmptyAudioError(f"{path}: too short to resample")
         positions = np.arange(out_len) * (rate / TARGET_RATE)
         samples = np.interp(positions, np.arange(len(samples)), samples)
-    return AudioClip(samples=samples, sample_rate=TARGET_RATE, source_rate=int(rate))
+    return AudioClip(samples=samples)
 
 
 # ---- PGM ----

@@ -141,7 +141,8 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
-    """Rebuild a model document, its shapes checked; one that does not fit the schema is a DataError."""
+    """Rebuild a model document, its shapes checked; one that does not fit the
+    schema, or a tree nested past the recursion limit, is a DataError."""
     try:
         if doc.get("format") != FORMAT_TAG:
             raise DataError(f"unsupported model format {doc.get('format')!r}")
@@ -161,7 +162,7 @@ def model_from_dict(doc: dict) -> TrainedModel:
             selected=selected,
             frontend=doc["frontend"],
         )
-    except (KeyError, TypeError, ValueError, AttributeError, UsageError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, UsageError, RecursionError) as e:
         raise DataError(f"malformed model document: {type(e).__name__}: {e}") from e
 
 

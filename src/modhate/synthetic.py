@@ -1,6 +1,9 @@
 """Seeded synthetic demo corpus: WAV tones, PGM frames, lexicon-drawn text.
 
-Stands in for a private video corpus. Per-class signal recipes:
+Stands in for a private video corpus. A corpus is set by its size and seed
+alone (SyntheticCorpusSpec); every sample has one TARGET_RATE clip of
+CLIP_SECONDS, N_FRAMES image frames and one transcript, and HATE_FRACTION
+of the samples are hate. Per-class signal recipes:
 
   * audio: per-sample draws from a class-specific tone palette (one pitch
     class per tone) over a band-shaped noise floor
@@ -8,10 +11,10 @@ Stands in for a private video corpus. Per-class signal recipes:
   * text: word draws from a class lexicon mixed with common/stop words
 
 Each modality independently degrades a small fraction of samples to a
-boundary case (the "ambiguity" rates), which keeps single-modality test
+boundary case (the *_AMBIGUITY rates), which keeps single-modality test
 accuracy in the high-80s/low-90s while 2-of-3 voting stays above it. The
-default rates and signal constants are regression-frozen: the end-to-end
-acceptance thresholds were verified against them at seed 42.
+recipe constants are regression-frozen: the end-to-end acceptance
+thresholds were verified against them at seed 42.
 """
 
 from __future__ import annotations
@@ -22,9 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from modhate.ingest import ManifestRecord, write_manifest
+from modhate.ingest import TARGET_RATE, ManifestRecord, write_manifest
 
-SAMPLE_RATE = 22050
+HATE_FRACTION = 0.6
+N_FRAMES = 2
+CLIP_SECONDS = 1.0
+AUDIO_AMBIGUITY = 0.15
+IMAGE_AMBIGUITY = 0.15
+TEXT_AMBIGUITY = 0.15
 
 # One tone per pitch class, spread over the mel axis so each lands in its
 # own filter region. Hate owns classes F#..B (upper octaves), calm owns
@@ -50,17 +58,11 @@ FILLER_WORDS = "the a and is to of in it that was".split()
 @dataclass(frozen=True)
 class SyntheticCorpusSpec:
     n_samples: int = 300
-    hate_fraction: float = 0.6
     seed: int = 42
-    n_frames: int = 2
-    clip_seconds: float = 1.0
-    audio_ambiguity: float = 0.15
-    image_ambiguity: float = 0.15
-    text_ambiguity: float = 0.15
 
 
 def _labels(spec: SyntheticCorpusSpec) -> np.ndarray:
-    n_hate = int(round(spec.n_samples * spec.hate_fraction))
+    n_hate = int(round(spec.n_samples * HATE_FRACTION))
     labels = np.array([1] * n_hate + [0] * (spec.n_samples - n_hate), dtype=np.int64)
     rng = np.random.default_rng([spec.seed, 999])
     rng.shuffle(labels)
@@ -70,7 +72,7 @@ def _labels(spec: SyntheticCorpusSpec) -> np.ndarray:
 def _shaped_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     white = rng.standard_normal(n)
     spec = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, 1.0 / SAMPLE_RATE)
+    freqs = np.fft.rfftfreq(n, 1.0 / TARGET_RATE)
     gain = np.ones_like(freqs)
     for b in range(len(NOISE_BANDS_HZ) - 1):
         mask = (freqs >= NOISE_BANDS_HZ[b]) & (freqs < NOISE_BANDS_HZ[b + 1])
@@ -79,7 +81,7 @@ def _shaped_noise(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _synth_audio(rng: np.random.Generator, label: int, ambiguous: bool, n: int) -> np.ndarray:
-    t = np.arange(n) / SAMPLE_RATE
+    t = np.arange(n) / TARGET_RATE
     sig = np.zeros(n)
     if ambiguous:
         scale = rng.uniform(0.05, 0.085)
@@ -102,7 +104,7 @@ def _synth_audio(rng: np.random.Generator, label: int, ambiguous: bool, n: int) 
     # class-blind transient: a noise burst of random strength and position;
     # with the noise ratio above it dominates the entropy/spread/flux
     # features, which is what lets mRMR rank them as expendable
-    dur = int(rng.uniform(0.02, 0.05) * SAMPLE_RATE)
+    dur = int(rng.uniform(0.02, 0.05) * TARGET_RATE)
     start = int(rng.uniform(0.0, n - dur))
     strength = scale * rng.uniform(0.0, 3.0)
     env = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(dur) / dur)
@@ -118,7 +120,7 @@ def _write_wav(path: Path, samples: np.ndarray) -> None:
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
-        w.setframerate(SAMPLE_RATE)
+        w.setframerate(TARGET_RATE)
         w.writeframes(ints.tobytes())
 
 
@@ -173,26 +175,26 @@ def generate_demo_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) -> Path
     (out_dir / "text").mkdir(exist_ok=True)
 
     labels = _labels(spec)
-    n_clip = int(round(spec.clip_seconds * SAMPLE_RATE))
+    n_clip = int(round(CLIP_SECONDS * TARGET_RATE))
     records = []
     for i in range(spec.n_samples):
         sid = f"s{i:04d}"
         label = int(labels[i])
 
         rng_a = np.random.default_rng([spec.seed, i, 0])
-        ambiguous_a = rng_a.uniform() < spec.audio_ambiguity
+        ambiguous_a = rng_a.uniform() < AUDIO_AMBIGUITY
         wav_path = out_dir / "audio" / f"{sid}.wav"
         _write_wav(wav_path, _synth_audio(rng_a, label, ambiguous_a, n_clip))
 
         rng_i = np.random.default_rng([spec.seed, i, 1])
-        ambiguous_i = rng_i.uniform() < spec.image_ambiguity
+        ambiguous_i = rng_i.uniform() < IMAGE_AMBIGUITY
         frame_dir = out_dir / "frames" / sid
         frame_dir.mkdir(exist_ok=True)
-        for f in range(spec.n_frames):
+        for f in range(N_FRAMES):
             _write_pgm(frame_dir / f"f{f:02d}.pgm", _synth_frame(rng_i, label, ambiguous_i))
 
         rng_t = np.random.default_rng([spec.seed, i, 2])
-        ambiguous_t = rng_t.uniform() < spec.text_ambiguity
+        ambiguous_t = rng_t.uniform() < TEXT_AMBIGUITY
         text_path = out_dir / "text" / f"{sid}.txt"
         text_path.write_text(_synth_text(rng_t, label, ambiguous_t), encoding="utf-8")
 

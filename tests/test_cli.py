@@ -498,6 +498,15 @@ def _set(*path_and_value):
     return apply
 
 
+def _deep_tree(raw):
+    """A dtree model whose root is a chain of 3000 splits, past the recursion limit."""
+    leaf = '{"counts":[1.0,1.0],"label":0}'
+    split = '{"counts":[1.0,1.0],"feature":0,"label":0,"threshold":0.0,"right":' + leaf + ',"left":'
+    doc = json.loads(raw)
+    doc["payload"]["root"] = "ROOT"
+    return json.dumps(doc).replace('"ROOT"', split * 3000 + leaf + "}" * 3000).encode()
+
+
 @pytest.mark.parametrize("name,edit", [
     ("logreg_audio.json", _set("payload", "weights", lambda w: w[:3])),
     ("nb_audio.json", _set("payload", "log_priors", lambda p: p[:1])),
@@ -513,10 +522,13 @@ def _set(*path_and_value):
     ("logreg_audio.json", _set("payload", "weights", 0, float("nan"))),
     ("dtree_audio.json", _set("payload", "root", "threshold", float("nan"))),
     ("adaboost_audio.json", _set("payload", "alphas", 0, float("inf"))),
+    ("nb_audio.json", lambda raw: b"[" * 100000),
+    ("dtree_audio.json", _deep_tree),
 ], ids=["logreg_weights_of_3", "nb_one_log_prior", "dtree_feature_9999", "dtree_feature_str",
         "adaboost_stump_feature_9999", "adaboost_fewer_alphas_than_stumps", "selected_9999",
         "standardization_of_3", "knn_train_x_width_3", "nan_hyperparameter",
-        "nb_negative_variances", "logreg_nan_weight", "dtree_nan_threshold", "adaboost_infinite_alpha"])
+        "nb_negative_variances", "logreg_nan_weight", "dtree_nan_threshold", "adaboost_infinite_alpha",
+        "nested_100000_deep", "dtree_root_3000_deep"])
 def test_inconsistent_model_is_data_error(workspace, audio_models, tmp_path, name, edit):
     models = tmp_path / "models"
     shutil.copytree(audio_models / "models", models)
@@ -532,6 +544,34 @@ def test_predict_audio_frontend_other_than_extracts_is_data_error(workspace, tmp
     models = _edit_model(workspace, tmp_path, "nb_audio.json",
                          _edit_frontend(lambda fe: fe.update({key: value})))
     assert _predict(workspace / "corpus", models, "s0001") == 2
+
+
+def _every_doc_freq(value):
+    def apply(fe):
+        for entry in fe["vocabulary"].values():
+            entry[1] = value
+    return apply
+
+
+@pytest.mark.parametrize("edit", [
+    lambda fe: fe.update(n_docs=float("nan")),
+    lambda fe: fe.update(n_docs=2.5),
+    lambda fe: fe.update(n_docs=True),
+    lambda fe: fe.update(n_docs=1e300),
+    lambda fe: fe.update(n_docs=0),
+    _every_doc_freq(10**6),
+    _every_doc_freq(0),
+    _every_doc_freq(1.0),
+], ids=["n_docs_nan", "n_docs_2.5", "n_docs_true", "n_docs_1e300", "n_docs_0",
+        "doc_freq_above_n_docs", "doc_freq_0", "doc_freq_float"])
+def test_predict_text_frontend_with_bad_counts_is_data_error(workspace, tmp_path, edit):
+    models = _edit_model(workspace, tmp_path, "nb_text.json", _edit_frontend(edit))
+    assert _predict(workspace / "corpus", models, "s0001") == 2
+
+
+def test_train_with_deeply_nested_frontend_file_is_data_error(workspace, tmp_path):
+    work = _edit_file(workspace, tmp_path, "features/frontend.json", lambda raw: b"[" * 100000)
+    assert _train_audio(workspace, work) == 2
 
 
 def test_train_rejects_audio_frontend_predict_cannot_use(workspace, tmp_path):

@@ -10,21 +10,23 @@ from modhate.errors import BadTargetCountError, EmptyMatrixError
 class TestStandardize:
     def test_constant_column_centered_only(self):
         X = np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]])
-        params, Z, _ = fs.standardize_fit_apply(X)
+        params = fs.standardize_fit(X)
+        Z = fs.standardize_apply(params, X)
         assert np.all(Z[:, 0] == 0.0)
         assert params.std[0] == 0.0
 
     def test_two_value_column(self):
         X = np.array([[0.0], [2.0]])
-        _, Z, _ = fs.standardize_fit_apply(X)
+        Z = fs.standardize_apply(fs.standardize_fit(X), X)
         assert Z[:, 0].tolist() == [-1.0, 1.0]
 
     def test_train_params_applied_to_test_verbatim(self):
         rng = np.random.default_rng(0)
         train = rng.normal(size=(50, 3))
         test = rng.normal(loc=100.0, size=(20, 3))   # wildly different stats
-        params, _, test_Z = fs.standardize_fit_apply(train, test)
-        assert np.array_equal(test_Z, fs.standardize_apply(params, test))
+        params = fs.standardize_fit(train)
+        test_Z = fs.standardize_apply(params, test)
+        assert np.array_equal(test_Z, (test - train.mean(axis=0)) / train.std(axis=0))
         assert abs(test_Z.mean()) > 10.0   # test stats were NOT recomputed
 
     def test_empty_matrix(self):
@@ -137,7 +139,7 @@ class TestBlockRoutinesMatchOracle:
     @settings(max_examples=60, deadline=None)
     def test_bin_codes_and_mi_rows_bitwise(self, data, nb):
         X, y = data
-        codes = fs._bin_codes(X, fs.MI_BINS)
+        codes = fs._bin_codes(X)
         want = np.column_stack([bin_codes_oracle(X[:, f], fs.MI_BINS) for f in range(X.shape[1])])
         assert codes.dtype == np.int64 and np.array_equal(codes, want)
 
@@ -237,9 +239,19 @@ class TestMrmr:
         X[:, 60:160] = rng.integers(0, 3, size=(40, 100))   # few-valued: many tied scores
         X[:, 160:260] = np.round(X[:, 160:260], 1)
         X[:, 260:300] = X[:, 300:340] * 1e-5
+        # no constant column is picked while a non-constant one is left
         assert list(fs.mrmr_select(X, y, 32).order) == [
-            1, 50, 0, 51, 52, 568, 53, 565, 54, 3, 55, 56, 154, 450, 57, 58,
-            59, 517, 83, 157, 344, 137, 548, 156, 80, 466, 142, 87, 98, 2, 70, 133]
+            1, 102, 83, 142, 157, 154, 565, 156, 137, 106, 3, 60, 98, 80, 0, 149,
+            70, 119, 147, 133, 87, 466, 103, 450, 76, 68, 159, 84, 122, 132, 91, 134]
+
+    def test_constant_columns_come_last(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(30, 6))
+        X[:, [1, 4]] = 2.0
+        y = rng.integers(0, 2, size=30)
+        order = fs.mrmr_select(X, y, 6).order
+        assert sorted(order[:4]) == [0, 2, 3, 5]
+        assert order[4:] == (1, 4)   # zero score each; ties go to the lowest index
 
 
 def test_mrmr_drops_entropy_family_on_demo_audio(demo_pipeline):

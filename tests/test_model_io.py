@@ -100,6 +100,18 @@ def test_inconsistent_knn_payload_rejected(edit):
         model_io.model_from_dict(doc)
 
 
+def test_tree_past_recursion_limit_rejected():
+    X, y = small_set()
+    doc = model_io.model_to_dict(train("dtree", X, y, hp_for("dtree")))
+    root = {"label": 0, "counts": [1.0, 1.0]}
+    for _ in range(3000):
+        root = {"label": 0, "counts": [1.0, 1.0], "feature": 0, "threshold": 0.0,
+                "left": root, "right": {"label": 1, "counts": [1.0, 1.0]}}
+    doc["payload"]["root"] = root
+    with pytest.raises(DataError):
+        model_io.model_from_dict(doc)
+
+
 def _key_paths(node, prefix=()):
     """Every (path, key) whose deletion removes one dict key, at any depth."""
     if isinstance(node, dict):
